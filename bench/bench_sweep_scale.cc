@@ -4,11 +4,12 @@
  * for the three layers of the PR-5 overhaul.
  *
  *  1. Batched design-point replay — for each timing family, an
- *     8-config design sweep over one cached solve stream, sequential
- *     per-config runStream vs one runStreamBatch column pass.
- *     Equality of every cycle count is a hard assertion; the
- *     wall-clock ratio is the batched-replay speedup (full runs
- *     enforce >= 1.5x on the scalar/in-order family).
+ *     8-config design sweep over one cached solve stream through the
+ *     family's one columnar engine: "seq us" is N one-lane passes
+ *     (runStream per config), "batch us" one N-lane runStreamBatch
+ *     pass. Equality of every cycle count between the two is a hard
+ *     assertion; the wall-clock ratio is the batched-replay speedup
+ *     (full runs enforce >= 1.5x on the scalar/in-order family).
  *  2. ADMM kernel hot path — the tuned matlib::ref kernels (restrict
  *     unit-stride fast paths with reference-order accumulation, fused
  *     gemvSaxpby) against the pre-tuning reference loops kept
@@ -76,8 +77,8 @@ struct BatchRow
     std::string family;
     size_t configs = 0;
     size_t uops = 0;
-    double seqUs = 0.0;   ///< sequential per-config runStream, whole sweep
-    double batchUs = 0.0; ///< one runStreamBatch pass, whole sweep
+    double seqUs = 0.0;   ///< N one-lane runStream passes, whole sweep
+    double batchUs = 0.0; ///< one N-lane runStreamBatch pass
     double speedup = 0.0;
     bool equal = true;
 };
@@ -129,8 +130,8 @@ measureBatch(const std::string &family,
     row.uops = prog->size();
     const isa::UopStreamView view = prog->stream();
 
-    // Correctness first: the batched pass must be bit-identical to
-    // the sequential sweep.
+    // Correctness first: the N-lane pass must be bit-identical to the
+    // one-lane passes.
     std::vector<cpu::TimingResult> batch =
         models.front()->runStreamBatch(view, models);
     for (size_t i = 0; i < models.size(); ++i) {
@@ -427,8 +428,8 @@ main(int argc, char **argv)
             measureBatch("gemmini", prog, models, batch_runs));
     }
 
-    Table bt("Batched design-point replay: sequential per-config "
-             "runStream vs one runStreamBatch pass (8-config sweeps)",
+    Table bt("Batched design-point replay: N one-lane runStream "
+             "passes vs one N-lane runStreamBatch pass (8-config sweeps)",
              {"family", "configs", "uops", "seq us", "batch us",
               "speedup", "bit-equal"});
     bool batch_equal = true;
@@ -737,7 +738,7 @@ main(int argc, char **argv)
 
     bool ok = batch_equal && kernels_equal && pool_equal;
     if (!batch_equal)
-        std::printf("\nFAIL: batched replay diverged from sequential\n");
+        std::printf("\nFAIL: N-lane replay diverged from one-lane\n");
     if (!kernels_equal)
         std::printf("\nFAIL: tuned kernels diverged from reference\n");
     if (!pool_equal)

@@ -45,7 +45,7 @@ main()
     // 3. Time the same solve on three architectures.
     auto time_on = [&](matlib::Backend &backend,
                        tinympc::MappingStyle style,
-                       const cpu::CoreModel &model) {
+                       const cpu::TimingModel &model) {
         tinympc::Workspace w2 = quad::buildQuadWorkspace(drone, 0.02, 10);
         w2.setReferenceAll(quad::hoverReference({0.5, 0.5, 1.5}));
         w2.setInitialState(x0);

@@ -57,16 +57,4 @@ RegionAttributor::finish(size_t n_uops)
     return std::move(out_);
 }
 
-std::vector<TimingResult>
-TimingModel::runStreamBatch(
-    const isa::UopStreamView &view,
-    const std::vector<const TimingModel *> &models) const
-{
-    std::vector<TimingResult> out;
-    out.reserve(models.size());
-    for (const TimingModel *m : models)
-        out.push_back(m->runStream(view));
-    return out;
-}
-
 } // namespace rtoc::cpu

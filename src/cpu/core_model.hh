@@ -5,24 +5,25 @@
  * Gemmini systolic).
  *
  * A model consumes a micro-op stream and returns the cycle count plus
- * per-kernel-region attribution. The hot entry point is
- * runStream(UopStreamView): a columnar view whose decoded class
- * column was computed once for the owning Program, so N models (or N
- * replays) over one cached stream share a single decode pass. The
- * historical AoS loop is kept behind runAos() as the
- * bit-exactness reference and the layout-comparison baseline — both
- * paths must produce identical cycles (pinned by tests).
+ * per-kernel-region attribution. Each family states its cost rules
+ * twice, and only twice:
+ *
+ *  - one columnar engine, runStreamBatch(UopStreamView, models): a
+ *    single pass over the decode-once columns advances one scoreboard
+ *    per model of the family ("lane"). runStream and run are its
+ *    one-lane case, so design sweeps, calibration and single replays
+ *    all go through the same code;
+ *  - one AoS oracle, runAos(Program): the historical loop over
+ *    Program::uops(), kept as an independent transliteration that
+ *    the bit-exactness tests compare every engine lane against.
  *
  * Models are deterministic and purely analytical over the stream:
  * running the same Program twice gives identical results, which the
  * property tests rely on.
  *
- * Models keep no mutable state across run() calls; the per-run scratch
- * (finish-time arrays, register ready files, queue rings) lives in
- * thread-local pools that are reset — capacity retained — at the start
- * of each run. After the first run on a thread, the per-uop simulation
- * loop performs no heap allocation, and distinct sweep threads never
- * share scratch, so models are safe to run concurrently.
+ * Models keep no mutable state across runs; engine state lives in
+ * per-call locals and the oracles' scratch in thread-local pools, so
+ * models are safe to run concurrently from sweep threads.
  */
 
 #ifndef RTOC_CPU_CORE_MODEL_HH
@@ -32,12 +33,14 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "isa/program.hh"
 
 namespace rtoc::cpu {
 
-/** Growable map from virtual register id to ready cycle. */
+/** Growable map from virtual register id to ready cycle (the AoS
+ *  oracles' register file). */
 class RegReadyFile
 {
   public:
@@ -66,19 +69,6 @@ class RegReadyFile
     reset()
     {
         std::fill(ready_.begin(), ready_.end(), 0);
-    }
-
-    /**
-     * Pre-size for register ids < @p n (entries stay zero). Batched
-     * replay lanes size their files from the program's register
-     * counts up front so the per-uop loop never pays the
-     * growth-doubling copy a fresh file would.
-     */
-    void
-    ensure(uint32_t n)
-    {
-        if (n > ready_.size())
-            ready_.resize(n, 0);
     }
 
   private:
@@ -113,17 +103,9 @@ class TimingModel
     virtual ~TimingModel() = default;
 
     /**
-     * Simulate the columnar stream (hot path). The view must come
-     * from Program::stream() — region attribution follows
-     * view.program back to the kernel markers.
-     */
-    virtual TimingResult runStream(const isa::UopStreamView &view)
-        const = 0;
-
-    /**
-     * Historical AoS reference loop over Program::uops(). Cycle
-     * results are bit-identical to runStream; kept for the layout
-     * pinning tests and the SoA-vs-AoS replay-throughput bench.
+     * AoS oracle over Program::uops(): an independent loop whose
+     * results every lane of runStreamBatch must match bit-for-bit
+     * (pinned by tests).
      */
     virtual TimingResult runAos(const isa::Program &prog) const = 0;
 
@@ -138,34 +120,59 @@ class TimingModel
      */
     virtual std::string cacheKey() const { return name(); }
 
+    /**
+     * Columnar engine (one pass, N scoreboards): simulate the stream
+     * once while advancing an independent scoreboard per model in
+     * @p models, amortizing column loads and class decode across a
+     * design sweep. Every model must have this model's dynamic type
+     * (family engines panic otherwise; ReplayBatch groups by type).
+     * Results are returned in @p models order; `this` only
+     * dispatches and is not simulated unless it appears in @p models.
+     * The view must come from Program::stream(): region attribution
+     * follows view.program back to the kernel markers.
+     */
+    virtual std::vector<TimingResult>
+    runStreamBatch(const isa::UopStreamView &view,
+                   const std::vector<const TimingModel *> &models)
+        const = 0;
+
+    /** One-lane pass of runStreamBatch over @p view. */
+    TimingResult
+    runStream(const isa::UopStreamView &view) const
+    {
+        return std::move(runStreamBatch(view, {this}).front());
+    }
+
     /** Simulate @p prog through its (decode-once) columnar view. */
     TimingResult
     run(const isa::Program &prog) const
     {
         return runStream(prog.stream());
     }
-
-    /**
-     * Batched replay (one pass, N scoreboards): simulate the stream
-     * once while advancing an independent scoreboard per model in
-     * @p models, amortizing column loads and class decode across a
-     * design sweep. Every model in @p models must belong to this
-     * model's family (same dynamic type); families override this with
-     * a fused lane loop whose results are REQUIRED to be bit-identical
-     * to calling models[i]->runStream(view) sequentially (pinned by
-     * tests). The base implementation — also the fallback overrides
-     * take when a foreign model appears in the group — is exactly that
-     * sequential loop. Results are returned in @p models order;
-     * `this` only dispatches and is not simulated unless it appears in
-     * @p models itself.
-     */
-    virtual std::vector<TimingResult>
-    runStreamBatch(const isa::UopStreamView &view,
-                   const std::vector<const TimingModel *> &models) const;
 };
 
-/** Historical name of the timing-model interface. */
-using CoreModel = TimingModel;
+/**
+ * The models of a family engine's group, downcast to @p Family.
+ * ReplayBatch groups by dynamic type, so a model of another family
+ * can only arrive through a direct runStreamBatch call, and panics.
+ */
+template <typename Family>
+std::vector<const Family *>
+familyGroup(const std::vector<const TimingModel *> &models,
+            const char *family)
+{
+    std::vector<const Family *> group;
+    group.reserve(models.size());
+    for (const TimingModel *m : models) {
+        const auto *f = dynamic_cast<const Family *>(m);
+        if (!f) {
+            rtoc_panic("%s replay group given foreign model '%s'",
+                       family, m->name().c_str());
+        }
+        group.push_back(f);
+    }
+    return group;
+}
 
 /**
  * Shared region-attribution helper: given the completion cycle of each
@@ -182,11 +189,12 @@ attributeRegions(const isa::Program &prog,
                  const std::vector<uint64_t> &finish);
 
 /**
- * Streaming equivalent of attributeRegions for the columnar loops:
- * regions are ordered and non-overlapping, so the attribution walks
- * them alongside the uop loop instead of buffering every finish time.
- * Feed completion cycles in program order via step(); the costs are
- * identical to the buffered helper (pinned by the SoA-vs-AoS tests).
+ * Streaming equivalent of attributeRegions for the OoO engine's
+ * lanes: regions are ordered and non-overlapping, so the attribution
+ * walks them alongside the uop loop instead of buffering every finish
+ * time. Feed completion cycles in program order via step(); the costs
+ * are identical to the buffered helper (pinned by the SoA-vs-AoS
+ * tests).
  */
 class RegionAttributor
 {

@@ -27,20 +27,6 @@ InOrderConfig::shuttle()
 }
 
 TimingResult
-InOrderCore::runStream(const isa::UopStreamView &view) const
-{
-    // Pure scalar run: any coprocessor uop is a programming error.
-    return runStreamWithCoproc(
-        view,
-        [this](const isa::UopStreamView &v, size_t i, uint64_t,
-               RegReadyFile &,
-               RegReadyFile &) -> std::pair<uint64_t, uint64_t> {
-            rtoc_panic("scalar core '%s' given coprocessor uop %s",
-                       cfg_.name.c_str(), isa::uopName(v.kind[i]));
-        });
-}
-
-TimingResult
 InOrderCore::runAos(const isa::Program &prog) const
 {
     return runWithCoproc(
@@ -58,20 +44,19 @@ InOrderCore::runStreamBatch(
     const std::vector<const TimingModel *> &models) const
 {
     std::vector<InOrderConfig> cfgs;
-    cfgs.reserve(models.size());
-    for (const TimingModel *m : models) {
-        const auto *core = dynamic_cast<const InOrderCore *>(m);
-        if (!core)
-            return TimingModel::runStreamBatch(view, models);
+    for (const InOrderCore *core :
+         familyGroup<InOrderCore>(models, "in-order"))
         cfgs.push_back(core->config());
-    }
-    return runInOrderStreamBatchWithCoproc(
-        view, cfgs,
-        [&](size_t, const isa::UopStreamView &v, size_t i, uint64_t,
-            auto &, auto &) -> std::pair<uint64_t, uint64_t> {
-            rtoc_panic("scalar batch given coprocessor uop %s",
-                       isa::uopName(v.kind[i]));
-        });
+    // Pure scalar replay: any coprocessor uop is a programming error.
+    auto coproc = [this](const isa::UopStreamView &v, size_t i,
+                         const uint64_t *, uint64_t *, uint64_t *,
+                         const BatchRegFiles &) {
+        rtoc_panic("scalar core '%s' given coprocessor uop %s",
+                   cfg_.name.c_str(), isa::uopName(v.kind[i]));
+    };
+    if (cfgs.size() == 1)
+        return runInOrderStreamBatchWithCoproc<1>(view, cfgs, coproc);
+    return runInOrderStreamBatchWithCoproc<0>(view, cfgs, coproc);
 }
 
 std::string

@@ -52,20 +52,16 @@ struct InOrderConfig
 };
 
 /** Scoreboard timing model for an in-order scalar pipeline. */
-class InOrderCore : public CoreModel
+class InOrderCore : public TimingModel
 {
   public:
     explicit InOrderCore(InOrderConfig cfg) : cfg_(std::move(cfg)) {}
 
-    TimingResult runStream(const isa::UopStreamView &view) const override;
-
     TimingResult runAos(const isa::Program &prog) const override;
 
     /**
-     * Fused scalar lane loop: one column pass advances one scoreboard
-     * per InOrderCore in @p models (bit-identical to sequential
-     * runStream). Falls back to the sequential base when a foreign
-     * model appears in the group.
+     * Scalar lane loop: one column pass advances one scoreboard per
+     * InOrderCore in @p models. Panics on a model of another family.
      */
     std::vector<TimingResult>
     runStreamBatch(const isa::UopStreamView &view,
@@ -79,25 +75,16 @@ class InOrderCore : public CoreModel
     const InOrderConfig &config() const { return cfg_; }
 
     /**
-     * Historical AoS entry point used by the Saturn and Gemmini
-     * reference paths: simulates only scalar uops, invoking @p coproc
-     * for non-scalar kinds. @p coproc receives the uop and the cycle
-     * at which the frontend presents it and returns the cycle at
-     * which the frontend may proceed (allowing coprocessor
-     * back-pressure).
+     * AoS oracle entry point, shared with the Saturn and Gemmini
+     * oracles: simulates only scalar uops, invoking @p coproc for
+     * non-scalar kinds. @p coproc receives the uop and the cycle at
+     * which the frontend presents it and returns the cycle at which
+     * the frontend may proceed (allowing coprocessor back-pressure)
+     * plus the op's completion cycle.
      */
     template <typename CoprocFn>
     TimingResult runWithCoproc(const isa::Program &prog,
                                CoprocFn &&coproc) const;
-
-    /**
-     * Columnar counterpart of runWithCoproc: @p coproc receives the
-     * view and the uop index (it reads only the columns its ISA
-     * needs) plus the present cycle and the register files.
-     */
-    template <typename CoprocFn>
-    TimingResult runStreamWithCoproc(const isa::UopStreamView &view,
-                                     CoprocFn &&coproc) const;
 
   private:
     InOrderConfig cfg_;

@@ -1,27 +1,33 @@
 /**
  * @file
- * Inline implementation of the in-order scoreboard loop, templated on
- * the coprocessor callback so the Saturn and Gemmini wrappers reuse
- * one frontend model without virtual-dispatch overhead per uop.
+ * Inline implementation of the in-order scoreboard model, templated on
+ * the coprocessor callback so the Saturn and Gemmini models reuse one
+ * frontend without virtual dispatch per uop.
  *
- * Two instantiations of the loop exist. runStreamWithCoproc is the
- * hot path: it walks the columnar UopStreamView, reads the
- * precomputed class byte instead of re-switching on the kind, and
- * turns latency classes into cycles through a small per-run table.
- * runWithCoproc is the historical AoS loop, kept verbatim as the
- * bit-exactness reference — both produce identical cycle counts.
+ * The in-order family (and every family built on its frontend) has
+ * one columnar engine and one AoS oracle:
  *
- * The scoreboard scratch (finish times, scalar/vector ready files) is
- * thread-local and reset — capacity kept — per run, so replaying a
- * cached Program allocates nothing in the per-uop loop and concurrent
- * sweep threads never contend.
+ *  - runInOrderStreamBatchWithCoproc is the columnar engine. One pass
+ *    over a UopStreamView advances an independent scoreboard per
+ *    config ("lane"); TimingModel::runStream is its one-lane case.
+ *    The lane count is a template parameter: kLanes == 1 turns the
+ *    lane arrays into fixed-size locals, so a single replay keeps its
+ *    scoreboard in registers, and kLanes == 0 sizes them at run time.
+ *  - InOrderCore::runWithCoproc is the historical AoS loop over
+ *    Program::uops(), an independent transliteration of the same cost
+ *    rules that the bit-exactness tests hold the engine to.
+ *
+ * The engine sizes its register stores from the program's register
+ * counts and panics on a destination register outside them, so a
+ * malformed or hostile Program cannot silently lose writes.
  */
 
 #ifndef RTOC_CPU_INORDER_IMPL_HH
 #define RTOC_CPU_INORDER_IMPL_HH
 
 #include <algorithm>
-#include <type_traits>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.hh"
@@ -49,7 +55,7 @@ statIds()
 
 } // namespace inorder_detail
 
-/** Reusable scoreboard state for one simulation thread. */
+/** Reusable AoS-oracle scoreboard state for one simulation thread. */
 struct InOrderScratch
 {
     std::vector<uint64_t> finish;
@@ -65,202 +71,35 @@ struct InOrderScratch
     }
 };
 
-template <typename CoprocFn>
-TimingResult
-InOrderCore::runStreamWithCoproc(const isa::UopStreamView &v,
-                                 CoprocFn &&coproc) const
-{
-    using isa::LatClass;
-
-    if (!v.program) {
-        rtoc_panic("in-order core '%s': view has no owning program "
-                   "(region attribution needs Program::stream())",
-                   cfg_.name.c_str());
-    }
-
-    TimingResult result;
-
-    // The columnar loop needs no finish-time buffer: completions fold
-    // into the streaming RegionAttributor as they happen.
-    static thread_local InOrderScratch scratch;
-    scratch.sregs.reset();
-    scratch.vregs.reset();
-    RegReadyFile &sregs = scratch.sregs;
-    RegReadyFile &vregs = scratch.vregs;
-    RegionAttributor attr(*v.program);
-
-    // Per-run latency table indexed by LatClass (the decode pass
-    // already classified every uop; the config only prices classes).
-    uint64_t lat[isa::kNumLatClasses] = {};
-    lat[static_cast<size_t>(LatClass::IntAlu)] = 1;
-    lat[static_cast<size_t>(LatClass::IntMul)] =
-        static_cast<uint64_t>(cfg_.intMulLatency);
-    lat[static_cast<size_t>(LatClass::Fp)] =
-        static_cast<uint64_t>(cfg_.fpLatency);
-    lat[static_cast<size_t>(LatClass::FpDiv)] =
-        static_cast<uint64_t>(cfg_.fpDivLatency);
-    lat[static_cast<size_t>(LatClass::FpCmp)] = 2;
-    lat[static_cast<size_t>(LatClass::FpMove)] = 2;
-    lat[static_cast<size_t>(LatClass::Load)] =
-        static_cast<uint64_t>(cfg_.loadLatency);
-    lat[static_cast<size_t>(LatClass::Store)] = 1;
-    lat[static_cast<size_t>(LatClass::Branch)] = 1;
-    lat[static_cast<size_t>(LatClass::FpNarrow)] =
-        static_cast<uint64_t>(cfg_.resolvedFpNarrowLatency());
-
-    constexpr uint8_t kBranchCls =
-        static_cast<uint8_t>(LatClass::Branch);
-
-    // Hoisted column pointers: the loop below touches only these.
-    const uint8_t *const cls_col = v.cls;
-    const uint32_t *const dst_col = v.dst;
-    const uint32_t *const src0_col = v.src0;
-    const uint32_t *const src1_col = v.src1;
-    const uint32_t *const src2_col = v.src2;
-    const uint8_t *const taken_col = v.taken;
-
-    uint64_t cycle = 0;
-    int slots = 0;
-    int fp_used = 0;
-    int mem_used = 0;
-    uint64_t stall_data = 0;
-    uint64_t stall_struct = 0;
-
-    auto advance_to = [&](uint64_t c) {
-        if (c > cycle) {
-            cycle = c;
-            slots = 0;
-            fp_used = 0;
-            mem_used = 0;
-        }
-    };
-
-    for (size_t i = 0; i < v.n; ++i) {
-        const uint8_t cls = cls_col[i];
-
-        if (!(cls & isa::kClsScalar)) {
-            // Frontend presents the coprocessor instruction: it costs
-            // one issue slot, then the coprocessor decides when the
-            // frontend may continue (back-pressure, fences).
-            while (slots >= cfg_.issueWidth)
-                advance_to(cycle + 1);
-            // Scalar operand of the coprocessor op must be ready
-            // (e.g. vfmacc.vf reads a scalar f-register).
-            const uint32_t s0 = src0_col[i];
-            const uint32_t s1 = src1_col[i];
-            const uint32_t s2 = src2_col[i];
-            uint64_t ready = std::max(
-                std::max(sregs.readyTime(
-                             isa::Program::isVReg(s0) ? isa::kNoReg
-                                                      : s0),
-                         sregs.readyTime(isa::Program::isVReg(s1)
-                                             ? isa::kNoReg
-                                             : s1)),
-                sregs.readyTime(isa::Program::isVReg(s2) ? isa::kNoReg
-                                                         : s2));
-            if (ready > cycle) {
-                stall_data += ready - cycle;
-                advance_to(ready);
-            }
-            ++slots;
-            auto [release, done] = coproc(v, i, cycle, sregs, vregs);
-            attr.step(i, done);
-            if (release > cycle)
-                advance_to(release);
-            continue;
-        }
-
-        uint64_t ready =
-            std::max(std::max(sregs.readyTime(src0_col[i]),
-                              sregs.readyTime(src1_col[i])),
-                     sregs.readyTime(src2_col[i]));
-        if (ready > cycle) {
-            stall_data += ready - cycle;
-            advance_to(ready);
-        }
-        while (slots >= cfg_.issueWidth ||
-               ((cls & isa::kClsFp) && fp_used >= cfg_.fpuCount) ||
-               ((cls & isa::kClsMem) && mem_used >= cfg_.memPorts)) {
-            ++stall_struct;
-            advance_to(cycle + 1);
-        }
-        ++slots;
-        if (cls & isa::kClsFp)
-            ++fp_used;
-        if (cls & isa::kClsMem)
-            ++mem_used;
-
-        uint64_t done = cycle + lat[cls & isa::kClsLatMask];
-        attr.step(i, done);
-        sregs.setReady(dst_col[i], done);
-
-        if ((cls & isa::kClsLatMask) == kBranchCls && taken_col[i])
-            advance_to(cycle + 1 +
-                       static_cast<uint64_t>(cfg_.branchBubble));
-    }
-
-    result.regionCycles = attr.finish(v.n);
-    result.cycles = std::max(cycle, attr.maxCompletion());
-    result.stats.set(inorder_detail::statIds().uops, v.n);
-    result.stats.set(inorder_detail::statIds().stall_data, stall_data);
-    result.stats.set(inorder_detail::statIds().stall_struct, stall_struct);
-    return result;
-}
-
 /**
- * Lane view over the batch engine's lane-interleaved register ready
- * store: entry (reg, lane) lives at base[reg * lanes + lane], so the
- * ready times of one register across all lanes share a cache line.
- * Semantics mirror RegReadyFile exactly (mask, kNoReg, out-of-range
- * reads return 0); the store is pre-sized from the program's register
- * counts, so every allocated register is in range.
+ * Per-lane state of the columnar engines. With a compile-time lane
+ * count (N > 0) it is a zeroed std::array, so one-lane state is a
+ * plain local the optimizer keeps in registers; N == 0 is a zeroed
+ * std::vector of the run-time size. Tables of K entries per lane use
+ * LaneArray<T, N * K> constructed with L * K.
  */
-class LaneRegView
+template <typename T, size_t N>
+struct LaneArray : std::array<T, N>
 {
-  public:
-    LaneRegView(uint64_t *base, uint32_t nregs, uint32_t lanes,
-                uint32_t lane)
-        : base_(base), nregs_(nregs), lanes_(lanes), lane_(lane)
-    {}
+    explicit LaneArray(size_t) : std::array<T, N>{} {}
+};
 
-    uint64_t
-    readyTime(uint32_t reg) const
-    {
-        uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nregs_)
-            return 0;
-        return base_[static_cast<size_t>(idx) * lanes_ + lane_];
-    }
-
-    void
-    setReady(uint32_t reg, uint64_t t)
-    {
-        if (reg == isa::kNoReg)
-            return;
-        uint32_t idx = reg & 0x7fffffffu;
-        rtoc_assert(idx < nregs_); // store sized from Program counters
-        if (idx >= nregs_)
-            return;
-        base_[static_cast<size_t>(idx) * lanes_ + lane_] = t;
-    }
-
-  private:
-    uint64_t *base_;
-    uint32_t nregs_;
-    uint32_t lanes_;
-    uint32_t lane_;
+template <typename T>
+struct LaneArray<T, 0> : std::vector<T>
+{
+    explicit LaneArray(size_t n) : std::vector<T>(n, T{}) {}
 };
 
 /**
- * Lane-major register files handed to *batched* coprocessor
- * callbacks: entry (reg, lane) lives at base[idx * lanes + lane], the
- * same lane-interleaved store LaneRegView wraps, but exposed as whole
- * rows so a family can hoist the register resolution out of its lane
- * loop and keep the loop itself branchless. Read rows fall back to a
- * shared always-zero row (kNoReg / out-of-range reads return 0,
- * RegReadyFile semantics); write rows fall back to a shared sink row
- * (kNoReg destinations drop, and in-range is asserted exactly like
- * LaneRegView::setReady).
+ * Lane-major register files handed to the coprocessor callbacks: entry
+ * (reg, lane) lives at base[idx * lanes + lane], so one register's
+ * ready times across all lanes share a cache line, and a family
+ * resolves a register once per uop instead of once per lane. Read
+ * rows fall back to a shared always-zero row (kNoReg and never-written
+ * ids read 0, RegReadyFile semantics); kNoReg destinations write a
+ * shared sink row. The stores are sized from the program's register
+ * counts, so a destination at or beyond them is a malformed program
+ * and panics.
  */
 struct BatchRegFiles
 {
@@ -287,9 +126,10 @@ struct BatchRegFiles
         if (reg == isa::kNoReg)
             return sink_row;
         const uint32_t idx = reg & 0x7fffffffu;
-        rtoc_assert(idx < nsreg); // store sized from Program counters
-        if (idx >= nsreg)
-            return sink_row;
+        if (idx >= nsreg) {
+            rtoc_panic("uop writes scalar register %u; the program "
+                       "declares %u", idx, nsreg);
+        }
         return sready + static_cast<size_t>(idx) * lanes;
     }
 
@@ -308,60 +148,41 @@ struct BatchRegFiles
         if (reg == isa::kNoReg)
             return sink_row;
         const uint32_t idx = reg & 0x7fffffffu;
-        rtoc_assert(idx < nvreg);
-        if (idx >= nvreg)
-            return sink_row;
+        if (idx >= nvreg) {
+            rtoc_panic("uop writes vector register %u; the program "
+                       "declares %u", idx, nvreg);
+        }
         return vready + static_cast<size_t>(idx) * lanes;
     }
 };
 
-namespace inorder_detail {
-
 /**
- * Batched coprocessor contract: instead of one callback per (lane,
- * uop) receiving per-lane reg views, the engine presents each coproc
- * uop ONCE with the per-lane present-cycle array and the lane-major
- * reg files; the callback fills release[]/done[] for every lane. This
- * lets a family hoist its per-uop kind switch and operand resolution
- * out of the lane loop and keep its unit state lane-major SoA, so the
- * lane loop vectorizes under RTOC_NATIVE.
- */
-template <typename Fn>
-constexpr bool kBatchedCoproc =
-    std::is_invocable_v<Fn &, const isa::UopStreamView &, size_t,
-                        const uint64_t *, uint64_t *, uint64_t *,
-                        const BatchRegFiles &>;
-
-} // namespace inorder_detail
-
-/**
- * Batched counterpart of runStreamWithCoproc: ONE pass over the
- * columns advances an independent scoreboard per config in @p cfgs
- * (lanes may differ in every knob, including issue width and the
- * frontend choice). Per-lane results are bit-identical to sequential
- * runStreamWithCoproc calls (pinned by tests); the batch is faster
- * because the lane-invariant work is hoisted out of the lane loop:
+ * The in-order columnar engine: ONE pass over the columns advances an
+ * independent scoreboard per config in @p cfgs (lanes may differ in
+ * every knob, including issue width). The lane-invariant work is
+ * hoisted out of the lane loop:
  *
  *  - columns are loaded and decoded once per uop, not once per
  *    (config, uop);
- *  - operand/destination register rows are resolved once per uop
- *    (kNoReg and bounds checks are shared), and the lane-interleaved
- *    ready store puts all lanes of a register on one cache line;
+ *  - operand/destination register rows are resolved once per uop,
+ *    and the lane-interleaved ready store puts all lanes of a register
+ *    on one cache line;
  *  - kernel-region attribution is driven by a shared boundary-event
  *    list (region structure is lane-invariant), so the per-lane,
  *    per-uop attribution work collapses to a running max.
  *
- * @p coproc is one of two contracts, selected by signature at compile
- * time: the per-lane form receives (lane, view, i, present, sregs,
- * vregs) — the reg files as LaneRegView — and returns the single-lane
- * {release, done} pair; the batched form (inorder_detail::
- * kBatchedCoproc) receives (view, i, present[], release[], done[],
- * BatchRegFiles) once per uop and fills the per-lane arrays. Both own
- * any per-lane coprocessor state; results are bit-identical by
- * construction because the engine computes present[] with exactly the
- * per-lane frontend steps either way.
+ * @p kLanes is cfgs.size() when the caller fixes it at compile time
+ * (1 for a one-lane replay), or 0 for a run-time lane count.
+ *
+ * Coprocessor uops are presented to @p coproc ONCE per uop as
+ * (view, i, present[], release[], done[], BatchRegFiles): present[l]
+ * is the cycle at which lane l's frontend issues the op, and the
+ * callback fills release[l] (when that frontend may continue, which
+ * models back-pressure and fences) and done[l] (the op's completion).
+ * The callback owns its per-lane coprocessor state, so a family can
+ * hoist its kind switch and operand resolution out of its lane loops.
  */
-template <typename CoprocFn>
+template <size_t kLanes, typename CoprocFn>
 std::vector<TimingResult>
 runInOrderStreamBatchWithCoproc(const isa::UopStreamView &v,
                                 const std::vector<InOrderConfig> &cfgs,
@@ -370,42 +191,55 @@ runInOrderStreamBatchWithCoproc(const isa::UopStreamView &v,
     using isa::LatClass;
 
     if (!v.program) {
-        rtoc_panic("in-order batch: view has no owning program "
+        rtoc_panic("in-order engine: view has no owning program "
                    "(region attribution needs Program::stream())");
     }
     if (v.program->kernelOpen()) {
-        rtoc_panic("in-order batch: kernel region '%s' still open — "
+        rtoc_panic("in-order engine: kernel region '%s' still open — "
                    "close it (endKernel) before timing the program",
                    v.program->kernels().back().name().c_str());
     }
+    rtoc_assert(kLanes == 0 || cfgs.size() == kLanes);
 
-    const size_t L = cfgs.size();
+    const size_t L = kLanes ? kLanes : cfgs.size();
     const uint32_t nsreg = v.program->scalarRegCount();
     const uint32_t nvreg = v.program->vectorRegCount();
+    constexpr size_t kNumCls = isa::kNumLatClasses;
 
-    // Per-lane scoreboard state, SoA so the lane loop streams it.
+    // Per-lane scoreboard state and configuration, one struct per
+    // lane: the lane loop reaches all of it through one pointer, which
+    // matters because that loop is register-bound, not memory-bound.
     //
     // The three issue counters (slots, fp_used, mem_used) live in one
     // packed word per lane — 16-bit fields at bits 0/16/32 — so the
-    // structural-hazard test of the single-lane loop
+    // structural-hazard test
     //   slots >= issueWidth || (fp && fp_used >= fpuCount) ||
     //   (mem && mem_used >= memPorts)
     // becomes one add+mask against a per-lane packed complement
     // (field f trips bit 15 of its lane exactly when counter_f >=
     // limit_f; counters stay tiny, so fields never carry into each
     // other), and the counter increments collapse to one shared
-    // packed add. Bit-for-bit the same stall decisions, one compare.
-    std::vector<uint64_t> cycle(L, 0), stall_data(L, 0),
-        stall_struct(L, 0), running_max(L, 0), open_before(L, 0),
-        branch_bubble(L), lat(isa::kNumLatClasses * L, 0);
-    std::vector<uint64_t> occ(L, 0);      ///< packed slots/fp/mem
-    std::vector<uint64_t> occ_comp(4 * L); ///< packed limit complements
-    std::vector<int> issue_width(L);
+    // packed add.
+    struct Lane
+    {
+        uint64_t cycle;        ///< frontend issue cycle
+        uint64_t occ;          ///< packed slots/fp/mem counters
+        uint64_t running_max;  ///< max completion so far
+        uint64_t stall_data;
+        uint64_t stall_struct;
+        uint64_t open_before;  ///< running_max at the open region
+        uint64_t branch_bubble;
+        uint64_t issue_width;
+        uint64_t comp[4];      ///< packed limit complements by ports
+        uint64_t lat[kNumCls]; ///< latency by class
+    };
+    LaneArray<Lane, kLanes> st(L);
     constexpr uint64_t kOccHi = 0x0000800080008000ull;
     for (size_t l = 0; l < L; ++l) {
         const InOrderConfig &cfg = cfgs[l];
-        issue_width[l] = cfg.issueWidth;
-        branch_bubble[l] = static_cast<uint64_t>(cfg.branchBubble);
+        Lane &ln = st[l];
+        ln.issue_width = static_cast<uint64_t>(cfg.issueWidth);
+        ln.branch_bubble = static_cast<uint64_t>(cfg.branchBubble);
         const uint64_t cs =
             0x8000ull - static_cast<uint64_t>(cfg.issueWidth);
         const uint64_t cf =
@@ -414,14 +248,12 @@ runInOrderStreamBatchWithCoproc(const isa::UopStreamView &v,
             0x8000ull - static_cast<uint64_t>(cfg.memPorts);
         // Gate selector: bit0 = fp port used by this uop, bit1 = mem
         // port used; disabled gates contribute 0 (never trip).
-        occ_comp[0 * L + l] = cs;
-        occ_comp[1 * L + l] = cs | (cf << 16);
-        occ_comp[2 * L + l] = cs | (cm << 32);
-        occ_comp[3 * L + l] = cs | (cf << 16) | (cm << 32);
-        // Class-major layout: the lane loop reads one contiguous row
-        // per uop (lat[lc * L + l]) without a per-lane multiply.
+        ln.comp[0] = cs;
+        ln.comp[1] = cs | (cf << 16);
+        ln.comp[2] = cs | (cm << 32);
+        ln.comp[3] = cs | (cf << 16) | (cm << 32);
         auto lt = [&](LatClass c) -> uint64_t & {
-            return lat[static_cast<size_t>(c) * L + l];
+            return ln.lat[static_cast<size_t>(c)];
         };
         lt(LatClass::IntAlu) = 1;
         lt(LatClass::IntMul) =
@@ -437,35 +269,28 @@ runInOrderStreamBatchWithCoproc(const isa::UopStreamView &v,
         lt(LatClass::FpNarrow) =
             static_cast<uint64_t>(cfg.resolvedFpNarrowLatency());
     }
+    // Port-usage selector of a class byte: bit0 = fp, bit1 = mem.
+    static_assert(isa::kClsFp == 0x10 && isa::kClsMem == 0x20,
+                  "port selector reads the fp/mem class bits");
+    constexpr uint64_t kOccInc[4] = {1ull, 1ull | 1ull << 16,
+                                     1ull | 1ull << 32,
+                                     1ull | 1ull << 16 | 1ull << 32};
 
     // Lane-interleaved ready stores (zero == never written, exactly
-    // RegReadyFile's unwritten/out-of-range semantics). Two extra
-    // rows keep the lane loop branchless: kNoReg/out-of-range
-    // operands read the always-zero row, kNoReg destinations write
-    // the sink row.
+    // RegReadyFile's unwritten semantics), plus the shared zero and
+    // sink rows that keep the lane loops branchless.
     std::vector<uint64_t> sready(static_cast<size_t>(nsreg) * L, 0);
     std::vector<uint64_t> vready(static_cast<size_t>(nvreg) * L, 0);
-    std::vector<uint64_t> zero_row(L, 0), sink_row(L, 0);
-
-    // Batched-contract scratch: per-lane present/release/done arrays
-    // plus the lane-major reg-file handle (unused — and unallocated
-    // work in the loop — under the per-lane contract).
-    constexpr bool kBatched =
-        inorder_detail::kBatchedCoproc<std::decay_t<CoprocFn>>;
-    std::vector<uint64_t> co_present, co_release, co_done;
-    if constexpr (kBatched) {
-        co_present.resize(L);
-        co_release.resize(L);
-        co_done.resize(L);
-    }
-    const BatchRegFiles reg_files{sready.data(), vready.data(),
-                                  zero_row.data(), sink_row.data(),
-                                  nsreg,          nvreg,
-                                  L};
+    LaneArray<uint64_t, kLanes> zero_row(L), sink_row(L);
+    LaneArray<uint64_t, kLanes> co_present(L), co_release(L), co_done(L);
+    const BatchRegFiles rf{sready.data(), vready.data(), zero_row.data(),
+                           sink_row.data(), nsreg, nvreg, L};
 
     // Shared region-boundary events, replayed in exactly the order
     // RegionAttributor::closeUpTo visits them (open at begin, close
-    // at end, region order).
+    // at end, region order): an event at position p applies before
+    // uop p. The uop loop runs in segments between events, so its
+    // only bound is the segment end.
     struct REvent
     {
         size_t pos;
@@ -482,22 +307,6 @@ runInOrderStreamBatchWithCoproc(const isa::UopStreamView &v,
     std::vector<std::vector<uint64_t>> region_out(L);
     for (auto &o : region_out)
         o.reserve(regions.size());
-    size_t next_event = 0;
-    auto apply_events_up_to = [&](size_t i) {
-        while (next_event < events.size() &&
-               events[next_event].pos <= i) {
-            if (events[next_event].open) {
-                for (size_t l = 0; l < L; ++l)
-                    open_before[l] = running_max[l];
-            } else {
-                for (size_t l = 0; l < L; ++l)
-                    region_out[l].push_back(running_max[l] -
-                                            open_before[l]);
-            }
-            ++next_event;
-        }
-    };
-
     constexpr uint8_t kBranchCls =
         static_cast<uint8_t>(LatClass::Branch);
 
@@ -507,163 +316,126 @@ runInOrderStreamBatchWithCoproc(const isa::UopStreamView &v,
     const uint32_t *const src1_col = v.src1;
     const uint32_t *const src2_col = v.src2;
     const uint8_t *const taken_col = v.taken;
-    uint64_t *const sbase = sready.data();
+    const size_t n = v.n;
 
-    // Resolve a scalar-file operand row once for every lane. The
-    // single-lane loop masks and bounds-checks per (lane, operand);
-    // those checks depend only on the uop, so they hoist here.
-    // kNoReg/out-of-range resolve to the zero row (readyTime 0).
-    auto srow = [&](uint32_t reg) -> const uint64_t * {
-        uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nsreg)
-            return zero_row.data();
-        return sbase + static_cast<size_t>(idx) * L;
-    };
+    size_t i = 0;
+    for (size_t e = 0; e <= events.size(); ++e) {
+        const size_t seg_end =
+            e < events.size() ? std::min(events[e].pos, n) : n;
+        for (; i < seg_end; ++i) {
+            const uint8_t cls = cls_col[i];
 
-    for (size_t i = 0; i < v.n; ++i) {
-        apply_events_up_to(i);
-        const uint8_t cls = cls_col[i];
-
-        if (!(cls & isa::kClsScalar)) {
-            // Coprocessor op: mask vector-register operands to kNoReg
-            // for the frontend interlock, exactly as the single-lane
-            // loop does (shared — operands are lane-invariant).
-            const uint32_t s0 = src0_col[i];
-            const uint32_t s1 = src1_col[i];
-            const uint32_t s2 = src2_col[i];
-            const uint64_t *p0 =
-                srow(isa::Program::isVReg(s0) ? isa::kNoReg : s0);
-            const uint64_t *p1 =
-                srow(isa::Program::isVReg(s1) ? isa::kNoReg : s1);
-            const uint64_t *p2 =
-                srow(isa::Program::isVReg(s2) ? isa::kNoReg : s2);
-            if constexpr (kBatched) {
-                // Frontend steps per lane (identical to the per-lane
-                // contract), then ONE callback over all lanes.
+            if (!(cls & isa::kClsScalar)) {
+                // Coprocessor op: the frontend presents it in one
+                // issue slot once its scalar operands are ready
+                // (vector-register operands are the coprocessor's
+                // business, so they read the zero row), then the
+                // coprocessor decides when the frontend may continue.
+                const uint32_t s0 = src0_col[i];
+                const uint32_t s1 = src1_col[i];
+                const uint32_t s2 = src2_col[i];
+                auto scalar_row = [&](uint32_t reg) {
+                    return rf.srow(isa::Program::isVReg(reg) ? isa::kNoReg
+                                                             : reg);
+                };
+                const uint64_t *p0 = scalar_row(s0);
+                const uint64_t *p1 = scalar_row(s1);
+                const uint64_t *p2 = scalar_row(s2);
                 for (size_t l = 0; l < L; ++l) {
-                    while (static_cast<int>(occ[l] & 0xffffu) >=
-                           issue_width[l]) {
-                        cycle[l] += 1;
-                        occ[l] = 0;
+                    while ((st[l].occ & 0xffffu) >= st[l].issue_width) {
+                        st[l].cycle += 1;
+                        st[l].occ = 0;
                     }
                     uint64_t ready =
                         std::max(std::max(p0[l], p1[l]), p2[l]);
-                    if (ready > cycle[l]) {
-                        stall_data[l] += ready - cycle[l];
-                        cycle[l] = ready;
-                        occ[l] = 0;
+                    if (ready > st[l].cycle) {
+                        st[l].stall_data += ready - st[l].cycle;
+                        st[l].cycle = ready;
+                        st[l].occ = 0;
                     }
-                    occ[l] += 1;
-                    co_present[l] = cycle[l];
+                    st[l].occ += 1;
+                    co_present[l] = st[l].cycle;
                 }
                 coproc(v, i, co_present.data(), co_release.data(),
-                       co_done.data(), reg_files);
+                       co_done.data(), rf);
                 for (size_t l = 0; l < L; ++l) {
-                    if (co_done[l] > running_max[l])
-                        running_max[l] = co_done[l];
-                    if (co_release[l] > cycle[l]) {
-                        cycle[l] = co_release[l];
-                        occ[l] = 0;
+                    if (co_done[l] > st[l].running_max)
+                        st[l].running_max = co_done[l];
+                    if (co_release[l] > st[l].cycle) {
+                        st[l].cycle = co_release[l];
+                        st[l].occ = 0;
                     }
                 }
-            } else {
-                for (size_t l = 0; l < L; ++l) {
-                    while (static_cast<int>(occ[l] & 0xffffu) >=
-                           issue_width[l]) {
-                        cycle[l] += 1;
-                        occ[l] = 0;
-                    }
-                    uint64_t ready =
-                        std::max(std::max(p0[l], p1[l]), p2[l]);
-                    if (ready > cycle[l]) {
-                        stall_data[l] += ready - cycle[l];
-                        cycle[l] = ready;
-                        occ[l] = 0;
-                    }
-                    occ[l] += 1;
-                    LaneRegView sview(sbase, nsreg,
-                                      static_cast<uint32_t>(L),
-                                      static_cast<uint32_t>(l));
-                    LaneRegView vview(vready.data(), nvreg,
-                                      static_cast<uint32_t>(L),
-                                      static_cast<uint32_t>(l));
-                    auto [release, done] =
-                        coproc(l, v, i, cycle[l], sview, vview);
-                    if (done > running_max[l])
-                        running_max[l] = done;
-                    if (release > cycle[l]) {
-                        cycle[l] = release;
-                        occ[l] = 0;
-                    }
-                }
+                continue;
             }
-            continue;
+
+            // Scalar op: operand rows, latency class, port flags and
+            // the taken-branch predicate are all lane-invariant.
+            const uint64_t *p0 = rf.srow(src0_col[i]);
+            const uint64_t *p1 = rf.srow(src1_col[i]);
+            const uint64_t *p2 = rf.srow(src2_col[i]);
+            uint64_t *pd = rf.srowW(dst_col[i]);
+            const size_t lc = cls & isa::kClsLatMask;
+            const bool br_taken = lc == kBranchCls && taken_col[i];
+            const size_t ports = (cls >> 4) & 3u;
+            const uint64_t occ_inc = kOccInc[ports];
+
+            for (size_t l = 0; l < L; ++l) {
+                Lane &ln = st[l];
+                uint64_t ready =
+                    std::max(std::max(p0[l], p1[l]), p2[l]);
+                uint64_t c = ln.cycle;
+                uint64_t oc = ln.occ;
+                if (ready > c) {
+                    ln.stall_data += ready - c;
+                    c = ready;
+                    oc = 0;
+                }
+                // A full issue group or port pushes the op one cycle
+                // on; one step suffices (counters restart at zero, and
+                // every limit is at least 1).
+                if ((oc + ln.comp[ports]) & kOccHi) {
+                    ++ln.stall_struct;
+                    c += 1;
+                    oc = 0;
+                }
+                oc += occ_inc;
+
+                const uint64_t done = c + ln.lat[lc];
+                if (done > ln.running_max)
+                    ln.running_max = done;
+                pd[l] = done;
+
+                if (br_taken) {
+                    c += 1 + ln.branch_bubble;
+                    oc = 0;
+                }
+                ln.cycle = c;
+                ln.occ = oc;
+            }
         }
-
-        // Scalar op: operand rows, latency class, port flags and the
-        // taken-branch predicate are all lane-invariant.
-        const uint64_t *p0 = srow(src0_col[i]);
-        const uint64_t *p1 = srow(src1_col[i]);
-        const uint64_t *p2 = srow(src2_col[i]);
-        const uint32_t dst = dst_col[i];
-        const uint32_t dst_idx = dst & 0x7fffffffu;
-        uint64_t *pd = (dst == isa::kNoReg || dst_idx >= nsreg)
-                           ? sink_row.data()
-                           : sbase + static_cast<size_t>(dst_idx) * L;
-        const size_t lc = cls & isa::kClsLatMask;
-        const uint64_t *const lat_row = lat.data() + lc * L;
-        const bool is_fp = (cls & isa::kClsFp) != 0;
-        const bool is_mem = (cls & isa::kClsMem) != 0;
-        const bool br_taken = lc == kBranchCls && taken_col[i];
-        // Shared packed-counter increment and limit-complement row.
-        const uint64_t occ_inc = 1ull |
-                                 (is_fp ? 1ull << 16 : 0) |
-                                 (is_mem ? 1ull << 32 : 0);
-        const uint64_t *const comp_row =
-            occ_comp.data() +
-            (static_cast<size_t>(is_fp) | (is_mem ? 2u : 0u)) * L;
-
-        for (size_t l = 0; l < L; ++l) {
-            uint64_t ready =
-                std::max(std::max(p0[l], p1[l]), p2[l]);
-            uint64_t c = cycle[l];
-            uint64_t oc = occ[l];
-            if (ready > c) {
-                stall_data[l] += ready - c;
-                c = ready;
-                oc = 0;
-            }
-            const uint64_t comp = comp_row[l];
-            while ((oc + comp) & kOccHi) {
-                ++stall_struct[l];
-                c += 1;
-                oc = 0;
-            }
-            oc += occ_inc;
-
-            uint64_t done = c + lat_row[l];
-            if (done > running_max[l])
-                running_max[l] = done;
-            pd[l] = done;
-
-            if (br_taken) {
-                c += 1 + branch_bubble[l];
-                oc = 0;
-            }
-            cycle[l] = c;
-            occ[l] = oc;
+        if (e == events.size())
+            break;
+        if (events[e].open) {
+            for (size_t l = 0; l < L; ++l)
+                st[l].open_before = st[l].running_max;
+        } else {
+            for (size_t l = 0; l < L; ++l)
+                region_out[l].push_back(st[l].running_max -
+                                        st[l].open_before);
         }
     }
-    apply_events_up_to(v.n);
 
     std::vector<TimingResult> out(L);
     for (size_t l = 0; l < L; ++l) {
         rtoc_assert(region_out[l].size() == regions.size());
         out[l].regionCycles = std::move(region_out[l]);
-        out[l].cycles = std::max(cycle[l], running_max[l]);
-        out[l].stats.set(inorder_detail::statIds().uops, v.n);
-        out[l].stats.set(inorder_detail::statIds().stall_data, stall_data[l]);
-        out[l].stats.set(inorder_detail::statIds().stall_struct, stall_struct[l]);
+        out[l].cycles = std::max(st[l].cycle, st[l].running_max);
+        out[l].stats.set(inorder_detail::statIds().uops, n);
+        out[l].stats.set(inorder_detail::statIds().stall_data,
+                         st[l].stall_data);
+        out[l].stats.set(inorder_detail::statIds().stall_struct,
+                         st[l].stall_struct);
     }
     return out;
 }

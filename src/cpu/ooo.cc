@@ -129,7 +129,7 @@ class SlotMap
     std::vector<uint8_t> used_;
 };
 
-/** Reusable OoO simulation state for one thread. */
+/** Reusable AoS-oracle simulation state for one thread. */
 struct OooScratch
 {
     std::vector<uint64_t> finish;
@@ -140,105 +140,14 @@ struct OooScratch
 
 } // namespace
 
-TimingResult
-OooCore::runStream(const isa::UopStreamView &v) const
-{
-    using isa::LatClass;
-
-    if (!v.program) {
-        rtoc_panic("OoO core '%s': view has no owning program",
-                   cfg_.name.c_str());
-    }
-
-    TimingResult result;
-
-    // The columnar loop needs no finish-time buffer: completions fold
-    // into the streaming RegionAttributor as they happen.
-    static thread_local OooScratch scratch;
-    scratch.regs.reset();
-    scratch.commit.assign(static_cast<size_t>(cfg_.robSize), 0);
-    scratch.intSlots.reset(cfg_.intIssue);
-    scratch.memSlots.reset(cfg_.memIssue);
-    scratch.fpSlots.reset(cfg_.fpIssue);
-
-    RegReadyFile &regs = scratch.regs;
-    RegionAttributor attr(*v.program);
-
-    // Per-run latency table indexed by the precomputed LatClass.
-    uint64_t lat[isa::kNumLatClasses] = {};
-    lat[static_cast<size_t>(LatClass::IntAlu)] = 1;
-    lat[static_cast<size_t>(LatClass::IntMul)] =
-        static_cast<uint64_t>(cfg_.intMulLatency);
-    lat[static_cast<size_t>(LatClass::Fp)] =
-        static_cast<uint64_t>(cfg_.fpLatency);
-    lat[static_cast<size_t>(LatClass::FpDiv)] =
-        static_cast<uint64_t>(cfg_.fpDivLatency);
-    lat[static_cast<size_t>(LatClass::FpCmp)] = 2;
-    lat[static_cast<size_t>(LatClass::FpMove)] = 2;
-    lat[static_cast<size_t>(LatClass::Load)] =
-        static_cast<uint64_t>(cfg_.loadLatency);
-    lat[static_cast<size_t>(LatClass::Store)] = 1;
-    lat[static_cast<size_t>(LatClass::Branch)] = 1;
-    lat[static_cast<size_t>(LatClass::FpNarrow)] =
-        static_cast<uint64_t>(cfg_.resolvedFpNarrowLatency());
-
-    // LatClass -> issue pipeline (same partition as classOf()).
-    SlotMap *pipe[isa::kNumLatClasses] = {};
-    pipe[static_cast<size_t>(LatClass::IntAlu)] = &scratch.intSlots;
-    pipe[static_cast<size_t>(LatClass::IntMul)] = &scratch.intSlots;
-    pipe[static_cast<size_t>(LatClass::Fp)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::FpDiv)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::FpCmp)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::FpMove)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::Load)] = &scratch.memSlots;
-    pipe[static_cast<size_t>(LatClass::Store)] = &scratch.memSlots;
-    pipe[static_cast<size_t>(LatClass::Branch)] = &scratch.intSlots;
-    pipe[static_cast<size_t>(LatClass::FpNarrow)] = &scratch.fpSlots;
-
-    // In-order commit ring for the ROB-occupancy constraint.
-    std::vector<uint64_t> &commit = scratch.commit;
-    uint64_t last_commit = 0;
-
-    for (size_t i = 0; i < v.n; ++i) {
-        const uint8_t cls = v.cls[i];
-        if (!(cls & isa::kClsScalar)) {
-            rtoc_panic("OoO core '%s' given coprocessor uop %s "
-                       "(BOOM cores are evaluated scalar-only)",
-                       cfg_.name.c_str(), isa::uopName(v.kind[i]));
-        }
-
-        uint64_t fetch =
-            static_cast<uint64_t>(i) /
-            static_cast<uint64_t>(cfg_.frontWidth);
-        uint64_t rob_free = commit[i % cfg_.robSize];
-        uint64_t operands = std::max({regs.readyTime(v.src0[i]),
-                                      regs.readyTime(v.src1[i]),
-                                      regs.readyTime(v.src2[i])});
-        uint64_t t = std::max({fetch, rob_free, operands});
-
-        uint64_t issue = pipe[cls & isa::kClsLatMask]->claimFrom(t);
-        uint64_t done = issue + lat[cls & isa::kClsLatMask];
-        attr.step(i, done);
-        regs.setReady(v.dst[i], done);
-
-        last_commit = std::max(last_commit, done);
-        commit[i % cfg_.robSize] = last_commit;
-    }
-
-    result.regionCycles = attr.finish(v.n);
-    result.cycles = attr.maxCompletion();
-    result.stats.set(oooUopsId(), v.n);
-    return result;
-}
-
 namespace {
 
-/** One greedy-dataflow scoreboard of a batched OoO replay. */
+/** One greedy-dataflow scoreboard of the OoO columnar engine. */
 struct OooBatchLane
 {
     uint64_t lat[isa::kNumLatClasses] = {};
     SlotMap *pipe[isa::kNumLatClasses] = {};
-    RegReadyFile regs;
+    std::vector<uint64_t> regs; ///< ready cycle per scalar register
     std::vector<uint64_t> commit;
     SlotMap intSlots, memSlots, fpSlots;
     RegionAttributor attr;
@@ -247,7 +156,7 @@ struct OooBatchLane
     size_t robSize = 1;
 
     OooBatchLane(const isa::Program &prog, const OooConfig &cfg)
-        : attr(prog),
+        : regs(prog.scalarRegCount(), 0), attr(prog),
           frontWidth(static_cast<uint64_t>(cfg.frontWidth)),
           robSize(static_cast<size_t>(cfg.robSize))
     {
@@ -312,23 +221,18 @@ OooCore::runStreamBatch(
     const std::vector<const TimingModel *> &models) const
 {
     if (!v.program) {
-        rtoc_panic("OoO core '%s': batch view has no owning program",
+        rtoc_panic("OoO core '%s': view has no owning program",
                    cfg_.name.c_str());
     }
 
     std::vector<OooBatchLane> lanes;
     lanes.reserve(models.size());
-    for (const TimingModel *m : models) {
-        const auto *core = dynamic_cast<const OooCore *>(m);
-        if (!core)
-            return TimingModel::runStreamBatch(v, models);
+    for (const OooCore *core : familyGroup<OooCore>(models, "OoO"))
         lanes.emplace_back(*v.program, core->config());
-        lanes.back().regs.ensure(v.program->scalarRegCount());
-    }
+    const uint32_t nsreg = v.program->scalarRegCount();
 
     // Blocked lane-major walk: the block's columns are loaded once
-    // and every lane's scoreboard advances over them (statement
-    // sequence per lane identical to runStream — results bit-exact).
+    // and every lane's scoreboard advances over them.
     const uint8_t *const cls_col = v.cls;
     const uint32_t *const dst_col = v.dst;
     const uint32_t *const src0_col = v.src0;
@@ -339,21 +243,27 @@ OooCore::runStreamBatch(
     for (size_t b0 = 0; b0 < v.n; b0 += kBlock) {
         const size_t b1 = std::min(v.n, b0 + kBlock);
         for (OooBatchLane &ln : lanes) {
-            // Mirror the single-lane loop's register-resident locals;
-            // the lane struct only carries state between blocks.
+            // Register-resident locals; the lane struct only carries
+            // state between blocks.
             const uint64_t *const lat = ln.lat;
             SlotMap *const *const pipe = ln.pipe;
-            RegReadyFile &regs = ln.regs;
+            uint64_t *const regs = ln.regs.data();
             RegionAttributor &attr = ln.attr;
             uint64_t *const commit = ln.commit.data();
             const uint64_t front_width = ln.frontWidth;
             const size_t rob_size = ln.robSize;
             uint64_t last_commit = ln.lastCommit;
+            // kNoReg and never-written ids read 0 (RegReadyFile
+            // semantics of the AoS oracle).
+            auto ready_of = [&](uint32_t reg) -> uint64_t {
+                const uint32_t idx = reg & 0x7fffffffu;
+                return reg == isa::kNoReg || idx >= nsreg ? 0 : regs[idx];
+            };
 
             for (size_t i = b0; i < b1; ++i) {
                 const uint8_t cls = cls_col[i];
                 if (!(cls & isa::kClsScalar)) {
-                    rtoc_panic("OoO batch given coprocessor uop %s "
+                    rtoc_panic("OoO core given coprocessor uop %s "
                                "(BOOM cores are evaluated scalar-only)",
                                isa::uopName(v.kind[i]));
                 }
@@ -361,16 +271,24 @@ OooCore::runStreamBatch(
                 uint64_t fetch = static_cast<uint64_t>(i) / front_width;
                 uint64_t rob_free = commit[i % rob_size];
                 uint64_t operands =
-                    std::max({regs.readyTime(src0_col[i]),
-                              regs.readyTime(src1_col[i]),
-                              regs.readyTime(src2_col[i])});
+                    std::max({ready_of(src0_col[i]),
+                              ready_of(src1_col[i]),
+                              ready_of(src2_col[i])});
                 uint64_t t = std::max({fetch, rob_free, operands});
 
                 uint64_t issue =
                     pipe[cls & isa::kClsLatMask]->claimFrom(t);
                 uint64_t done = issue + lat[cls & isa::kClsLatMask];
                 attr.step(i, done);
-                regs.setReady(dst_col[i], done);
+                const uint32_t dst = dst_col[i];
+                if (dst != isa::kNoReg) {
+                    const uint32_t idx = dst & 0x7fffffffu;
+                    if (idx >= nsreg) {
+                        rtoc_panic("uop writes scalar register %u; the "
+                                   "program declares %u", idx, nsreg);
+                    }
+                    regs[idx] = done;
+                }
 
                 last_commit = std::max(last_commit, done);
                 commit[i % rob_size] = last_commit;

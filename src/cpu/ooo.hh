@@ -60,20 +60,17 @@ struct OooConfig
 };
 
 /** Greedy-dataflow timing model of an OoO scalar core. */
-class OooCore : public CoreModel
+class OooCore : public TimingModel
 {
   public:
     explicit OooCore(OooConfig cfg) : cfg_(std::move(cfg)) {}
 
-    TimingResult runStream(const isa::UopStreamView &view) const override;
-
     TimingResult runAos(const isa::Program &prog) const override;
 
     /**
-     * Fused OoO lane loop: one column pass advances one greedy-
+     * OoO lane loop: one blocked column pass advances one greedy-
      * dataflow state (regs, ROB ring, issue slots) per OooCore in
-     * @p models, bit-identical to sequential runStream. Falls back to
-     * the sequential base when a foreign model appears in the group.
+     * @p models. Panics on a model of another family.
      */
     std::vector<TimingResult>
     runStreamBatch(const isa::UopStreamView &view,

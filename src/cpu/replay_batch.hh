@@ -5,16 +5,17 @@
  *
  * Design sweeps (Pareto fronts, ablations, multi-model calibration)
  * evaluate N knob settings of the same architecture family against
- * one cached Program. Sequential runStream calls pay the column loads
+ * one cached Program. One-lane runStream calls pay the column loads
  * and per-run setup N times; a ReplayBatch groups the added models by
  * family (dynamic type) and hands each group to that family's
- * runStreamBatch, which advances all of the group's scoreboards in a
- * single blocked pass over the columns. Models of a family that has
- * no fused loop — or a group the family driver rejects — fall back to
- * sequential runStream inside the base runStreamBatch.
+ * columnar engine (runStreamBatch), which advances all of the group's
+ * scoreboards in a single pass over the columns. Every group is
+ * single-family by construction, which is the only kind of group a
+ * family engine accepts.
  *
- * Results are bit-identical to calling model.runStream(view) for each
- * added model (pinned by tests), and are returned in add() order.
+ * Lane results do not depend on the group they ran in: each equals
+ * the model's one-lane runStream and its AoS oracle (pinned by
+ * tests). Results are returned in add() order.
  */
 
 #ifndef RTOC_CPU_REPLAY_BATCH_HH

@@ -96,7 +96,7 @@ namespace {
 
 /** On-disk key of one (model, backend, style, shape) calibration. */
 std::string
-calibDiskKey(const cpu::CoreModel &model, const matlib::Backend &backend,
+calibDiskKey(const cpu::TimingModel &model, const matlib::Backend &backend,
              tinympc::MappingStyle style, const plant::Plant &plant,
              double dt, int horizon, bool with_refresh)
 {
@@ -134,7 +134,7 @@ calibSolveKey(const matlib::Backend &backend, tinympc::MappingStyle style,
  * (model, program) pair).
  */
 std::shared_ptr<const isa::Program>
-schedStream(const cpu::CoreModel &model, const std::string &progKey,
+schedStream(const cpu::TimingModel &model, const std::string &progKey,
             const std::shared_ptr<const isa::Program> &prog)
 {
     if (!isa::schedEnabled())
@@ -245,7 +245,7 @@ fitRefreshCycles(ControllerTiming &t, double r_lo, double r_hi)
  * batch together, grouped by stream identity.
  */
 std::vector<cpu::TimingResult>
-replayPending(const std::vector<const cpu::CoreModel *> &models,
+replayPending(const std::vector<const cpu::TimingModel *> &models,
               const std::vector<size_t> &pending,
               const std::string &progKey,
               const std::shared_ptr<const isa::Program> &prog)
@@ -284,7 +284,7 @@ replayPending(const std::vector<const cpu::CoreModel *> &models,
 } // namespace
 
 ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
+calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
                 tinympc::MappingStyle style, const plant::Plant &plant,
                 double dt, int horizon, const isa::DiskCache *disk,
                 bool with_refresh)
@@ -331,7 +331,7 @@ calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
 }
 
 std::vector<ControllerTiming>
-calibrateTimingBatch(const std::vector<const cpu::CoreModel *> &models,
+calibrateTimingBatch(const std::vector<const cpu::TimingModel *> &models,
                      matlib::Backend &backend, tinympc::MappingStyle style,
                      const plant::Plant &plant, double dt, int horizon,
                      const isa::DiskCache *disk, bool with_refresh)
@@ -401,7 +401,7 @@ calibrateTimingBatch(const std::vector<const cpu::CoreModel *> &models,
 }
 
 ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
+calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
                 tinympc::MappingStyle style,
                 const quad::DroneParams &drone, double dt, int horizon)
 {
@@ -538,7 +538,7 @@ regionBreakdown(const std::string &model, const plant::Plant &plant,
     RTOC_SPAN("hil.region_breakdown", "hil");
     // Mirror the convenience-calibration configurations exactly, so
     // the profile describes the same hardware the sweeps priced.
-    auto replay = [&](const cpu::CoreModel &core,
+    auto replay = [&](const cpu::TimingModel &core,
                       matlib::Backend &backend,
                       tinympc::MappingStyle style) {
         // With scheduling on, profile the stream the sweeps actually

@@ -78,7 +78,7 @@ struct ControllerTiming
  * poisons the other's disk entry.
  */
 ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
+calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
                 tinympc::MappingStyle style, const plant::Plant &plant,
                 double dt, int horizon,
                 const isa::DiskCache *disk = &isa::DiskCache::global(),
@@ -86,7 +86,7 @@ calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
 
 /** Historical quadrotor entry point (wraps a QuadrotorPlant). */
 ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
+calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
                 tinympc::MappingStyle style,
                 const quad::DroneParams &drone, double dt, int horizon);
 
@@ -101,7 +101,7 @@ calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
  * skipped in the replay batch.
  */
 std::vector<ControllerTiming>
-calibrateTimingBatch(const std::vector<const cpu::CoreModel *> &models,
+calibrateTimingBatch(const std::vector<const cpu::TimingModel *> &models,
                      matlib::Backend &backend, tinympc::MappingStyle style,
                      const plant::Plant &plant, double dt, int horizon,
                      const isa::DiskCache *disk = &isa::DiskCache::global(),

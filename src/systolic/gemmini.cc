@@ -62,7 +62,7 @@ GemminiConfig::os4x4HwGemv(int spad_kb)
 
 namespace {
 
-/** Accelerator-side state threaded through the frontend loop. */
+/** AoS-oracle accelerator state threaded through the frontend loop. */
 struct AccelState
 {
     uint64_t lastCompletion = 0;   ///< in-order execution tail
@@ -87,173 +87,37 @@ struct AccelState
     }
 };
 
-} // namespace
-
-cpu::TimingResult
-GemminiModel::runStream(const isa::UopStreamView &view) const
-{
-    using isa::UopKind;
-
-    static thread_local AccelState st;
-    st.reset();
-    cpu::InOrderCore frontend(cfg_.frontend);
-
-    // Columnar twin of the AoS coproc below: a RoCC command reads
-    // only kind/rows/cols/bytes/taken, through pointers hoisted out
-    // of the per-op call. Any change here must be mirrored there —
-    // the SoA-vs-AoS pinning tests hold the two bit-identical.
-    const UopKind *const kind_col = view.kind;
-    const uint16_t *const rows_col = view.rows;
-    const uint16_t *const cols_col = view.cols;
-    const uint32_t *const bytes_col = view.bytes;
-    const uint8_t *const taken_col = view.taken;
-    const uint16_t *const sew_col = view.sew;
-
-    // The DMA bus width is a power of two on every real
-    // configuration; folding the per-op ceil-divide into a shift
-    // removes a 64-bit divider from the command hot path (identical
-    // results — the non-power-of-two fallback keeps the division).
-    const uint64_t bus = static_cast<uint64_t>(cfg_.busBytes);
-    const bool bus_pow2 = bus != 0 && (bus & (bus - 1)) == 0;
-    const int bus_shift = bus_pow2 ? __builtin_ctzll(bus) : 0;
-    auto div_bus = [&](uint64_t x) -> uint64_t {
-        return bus_pow2 ? x >> bus_shift : x / bus;
-    };
-
-    auto exec_latency = [&](size_t i) -> uint64_t {
-        switch (kind_col[i]) {
-          case UopKind::RoccConfig:
-            return static_cast<uint64_t>(cfg_.configLat);
-          case UopKind::RoccMvin:
-          case UopKind::RoccMvout: {
-            const uint16_t rows = rows_col[i];
-            uint64_t move;
-            if (cols_col[i] == 1 && rows > 1 && !cfg_.hardwareGemv) {
-                // Column vector: one scratchpad entry per cycle
-                // (§4.2.4 inefficiency) — a 4-byte entry, so fp32
-                // moves one element per cycle (bytes/4 == rows,
-                // unchanged) while 16-bit formats pack two. The
-                // hardware-GEMV extension packs vectors across rows
-                // and moves them at full bandwidth instead.
-                move = (static_cast<uint64_t>(bytes_col[i]) + 3) / 4;
-            } else {
-                move = div_bus(static_cast<uint64_t>(bytes_col[i]) +
-                               bus - 1);
-            }
-            // Pool window > 1 adds a comparator pass per output row.
-            if (kind_col[i] == UopKind::RoccMvout && taken_col[i])
-                move += rows;
-            return static_cast<uint64_t>(cfg_.dmaFixed) + move;
-          }
-          case UopKind::RoccPreload:
-            return static_cast<uint64_t>(cfg_.meshDim);
-          case UopKind::RoccCompute: {
-            // Physical rows flow through a meshDim-deep pipeline: a
-            // narrow tile packs 32/sew elements per fp32 PE, so a
-            // sew-bit tile of r rows occupies ceil(r*sew/32) physical
-            // rows. At sew=32 this is exactly r — unchanged.
-            const uint64_t prows =
-                (static_cast<uint64_t>(rows_col[i]) * sew_col[i] + 31) /
-                32;
-            return prows + 2 * static_cast<uint64_t>(cfg_.meshDim);
-          }
-          default:
-            rtoc_panic("gemmini '%s': unsupported uop %s",
-                       cfg_.name.c_str(), isa::uopName(kind_col[i]));
-        }
-    };
-
-    auto coproc = [&](const isa::UopStreamView &, size_t i,
-                      uint64_t present, cpu::RegReadyFile &sregs,
-                      cpu::RegReadyFile &vregs)
-        -> std::pair<uint64_t, uint64_t> {
-        (void)sregs;
-        (void)vregs;
-        uint64_t release = present;
-
-        if (kind_col[i] == UopKind::RoccFence) {
-            // Frontend blocks until the accelerator drains; when an
-            // mvout is outstanding the memory system must also be
-            // ordered, costing the paper's measured several-hundred-
-            // cycle stall.
-            uint64_t done = std::max(present, st.lastCompletion) +
-                            static_cast<uint64_t>(cfg_.fenceBase);
-            if (st.mvoutSinceFence)
-                done += static_cast<uint64_t>(cfg_.fenceMemPenalty);
-            st.mvoutSinceFence = false;
-            st.inFlight.clear();
-            ++st.fences;
-            st.fenceStall += done - present;
-            return {done, done};
-        }
-
-        // Command-queue back-pressure.
-        while (!st.inFlight.empty() && st.inFlight.front() <= present)
-            st.inFlight.popFront();
-        if (static_cast<int>(st.inFlight.size()) >= cfg_.robDepth) {
-            uint64_t drain = st.inFlight.front();
-            st.stallQueueFull += drain - present;
-            release = drain;
-            st.inFlight.popFront();
-        }
-
-        uint64_t start = std::max(std::max(present, release) +
-                                      static_cast<uint64_t>(cfg_.issueLat),
-                                  st.lastCompletion);
-        uint64_t completion = start + exec_latency(i);
-        st.lastCompletion = completion;
-        st.inFlight.pushBack(completion);
-        ++st.cmds;
-        if (kind_col[i] == UopKind::RoccMvout)
-            st.mvoutSinceFence = true;
-        return {release, completion};
-    };
-
-    cpu::TimingResult result =
-        frontend.runStreamWithCoproc(view, coproc);
-    result.stats.set(gemminiIds().cmds, st.cmds);
-    result.stats.set(gemminiIds().fences, st.fences);
-    result.stats.set(gemminiIds().fence_stall, st.fenceStall);
-    result.stats.set(gemminiIds().stall_rob, st.stallQueueFull);
-    return result;
-}
-
+/**
+ * Gemmini columnar engine over the in-order frontend engine, with a
+ * lane count fixed at compile time (kLanes > 0) or at run time (0).
+ */
+template <size_t kLanes>
 std::vector<cpu::TimingResult>
-GemminiModel::runStreamBatch(
-    const isa::UopStreamView &view,
-    const std::vector<const cpu::TimingModel *> &models) const
+replayGemmini(const isa::UopStreamView &view,
+              const std::vector<const GemminiModel *> &group)
 {
     using isa::UopKind;
 
     std::vector<cpu::InOrderConfig> frontends;
-    std::vector<const GemminiConfig *> cfgs;
-    frontends.reserve(models.size());
-    cfgs.reserve(models.size());
-    for (const cpu::TimingModel *m : models) {
-        const auto *gem = dynamic_cast<const GemminiModel *>(m);
-        if (!gem)
-            return TimingModel::runStreamBatch(view, models);
-        frontends.push_back(gem->config().frontend);
-        cfgs.push_back(&gem->config());
-    }
+    for (const GemminiModel *m : group)
+        frontends.push_back(m->config().frontend);
 
-    // Lane-major SoA accelerator state (see the Saturn batch path for
-    // the pattern): flat per-lane arrays replace per-lane AccelState
-    // so the batched coprocessor callback runs contiguous lane loops
-    // with the command kind, operand fields, and the RoccFence branch
-    // hoisted out. Per-lane arithmetic is verbatim from the
-    // single-lane coproc above, keeping results bit-identical.
-    const size_t L = models.size();
-    std::vector<uint64_t> last_comp(L, 0), fence_stall(L, 0),
-        stall_rob(L, 0);
-    std::vector<uint64_t> rob_depth(L), issue_lat(L), config_lat(L),
-        dma_fixed(L), mesh_dim(L), bus(L), fence_base(L),
-        fence_mem(L);
-    std::vector<int> bus_shift(L);
-    std::vector<uint8_t> bus_pow2(L), hw_gemv(L), mvout_pending(L, 0);
+    // Lane-major SoA accelerator state (see the Saturn engine for the
+    // pattern): flat per-lane arrays replace the oracle's AccelState,
+    // so the coprocessor callback runs contiguous lane loops with the
+    // command kind, operand fields, and the RoccFence branch hoisted
+    // out.
+    using U64Lanes = cpu::LaneArray<uint64_t, kLanes>;
+    const size_t L = kLanes ? kLanes : group.size();
+    U64Lanes last_comp(L), fence_stall(L), stall_rob(L);
+    U64Lanes rob_depth(L), issue_lat(L), config_lat(L), dma_fixed(L),
+        mesh_dim(L), bus(L), fence_base(L), fence_mem(L);
+    cpu::LaneArray<int, kLanes> bus_shift(L);
+    cpu::LaneArray<uint8_t, kLanes> bus_pow2(L), hw_gemv(L),
+        mvout_pending(L);
     uint64_t max_rob = 0;
     for (size_t l = 0; l < L; ++l) {
-        const GemminiConfig &c = *cfgs[l];
+        const GemminiConfig &c = group[l]->config();
         rob_depth[l] = static_cast<uint64_t>(c.robDepth);
         issue_lat[l] = static_cast<uint64_t>(c.issueLat);
         config_lat[l] = static_cast<uint64_t>(c.configLat);
@@ -273,7 +137,7 @@ GemminiModel::runStreamBatch(
     // flat ring of max_rob+1 slots per lane suffices.
     const size_t qcap = static_cast<size_t>(max_rob) + 1;
     std::vector<uint64_t> qbuf(L * qcap, 0);
-    std::vector<uint32_t> qhead(L, 0), qcount(L, 0);
+    cpu::LaneArray<uint32_t, kLanes> qhead(L), qcount(L);
     auto q_front = [&](size_t l) { return qbuf[l * qcap + qhead[l]]; };
     auto q_pop = [&](size_t l) {
         qhead[l] = qhead[l] + 1 == qcap ? 0 : qhead[l] + 1;
@@ -288,7 +152,7 @@ GemminiModel::runStreamBatch(
     };
 
     uint64_t cmds = 0, fences = 0; ///< lane-invariant counts
-    std::vector<uint64_t> lat(L);
+    U64Lanes lat(L);
 
     const UopKind *const kind_col = view.kind;
     const uint16_t *const rows_col = view.rows;
@@ -362,7 +226,7 @@ GemminiModel::runStreamBatch(
           }
           default:
             rtoc_panic("gemmini '%s': unsupported uop %s",
-                       cfgs[0]->name.c_str(), isa::uopName(kind));
+                       group.front()->name().c_str(), isa::uopName(kind));
         }
 
         for (size_t l = 0; l < L; ++l) {
@@ -391,7 +255,8 @@ GemminiModel::runStreamBatch(
     };
 
     std::vector<cpu::TimingResult> out =
-        cpu::runInOrderStreamBatchWithCoproc(view, frontends, coproc);
+        cpu::runInOrderStreamBatchWithCoproc<kLanes>(view, frontends,
+                                                     coproc);
     for (size_t l = 0; l < out.size(); ++l) {
         out[l].stats.set(gemminiIds().cmds, cmds);
         out[l].stats.set(gemminiIds().fences, fences);
@@ -399,6 +264,20 @@ GemminiModel::runStreamBatch(
         out[l].stats.set(gemminiIds().stall_rob, stall_rob[l]);
     }
     return out;
+}
+
+} // namespace
+
+std::vector<cpu::TimingResult>
+GemminiModel::runStreamBatch(
+    const isa::UopStreamView &view,
+    const std::vector<const cpu::TimingModel *> &models) const
+{
+    std::vector<const GemminiModel *> group =
+        cpu::familyGroup<GemminiModel>(models, "Gemmini");
+    if (group.size() == 1)
+        return replayGemmini<1>(view, group);
+    return replayGemmini<0>(view, group);
 }
 
 std::string

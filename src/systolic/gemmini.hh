@@ -64,23 +64,18 @@ struct GemminiConfig
 };
 
 /** Gemmini accelerator + scalar frontend timing model. */
-class GemminiModel : public cpu::CoreModel
+class GemminiModel : public cpu::TimingModel
 {
   public:
     explicit GemminiModel(GemminiConfig cfg) : cfg_(std::move(cfg)) {}
 
-    cpu::TimingResult
-    runStream(const isa::UopStreamView &view) const override;
-
     cpu::TimingResult runAos(const isa::Program &prog) const override;
 
     /**
-     * Fused accelerator lane loop: one column pass advances one
-     * (frontend scoreboard + RoCC command queue) pair per
-     * GemminiModel in @p models — lanes may differ in mesh/DMA/fence
-     * knobs AND frontend. Bit-identical to sequential runStream;
-     * falls back to the sequential base when a foreign model appears
-     * in the group.
+     * Accelerator lane loop: one column pass advances one (frontend
+     * scoreboard + RoCC command queue) pair per GemminiModel in
+     * @p models — lanes may differ in mesh/DMA/fence knobs AND
+     * frontend. Panics on a model of another family.
      */
     std::vector<cpu::TimingResult>
     runStreamBatch(const isa::UopStreamView &view,

@@ -40,7 +40,7 @@ SaturnConfig::make(int vlen, int dlen, bool shuttle_frontend)
 
 namespace {
 
-/** Mutable vector-unit state threaded through the frontend loop. */
+/** AoS-oracle vector-unit state threaded through the frontend loop. */
 struct VectorUnitState
 {
     uint64_t vxuFree = 0; ///< arithmetic pipe next-free cycle
@@ -63,217 +63,37 @@ struct VectorUnitState
     }
 };
 
-} // namespace
-
-cpu::TimingResult
-SaturnModel::runStream(const isa::UopStreamView &view) const
-{
-    using isa::UopKind;
-
-    static thread_local VectorUnitState st;
-    st.reset();
-    cpu::InOrderCore frontend(cfg_.frontend);
-
-    // Columnar twin of the AoS coproc below: reads only the columns a
-    // vector op consumes (kind, registers, vl/sew/lmul8), through
-    // pointers hoisted out of the per-op call. Any change here must
-    // be mirrored there — the SoA-vs-AoS pinning tests hold the two
-    // bit-identical.
-    const UopKind *const kind_col = view.kind;
-    const uint32_t *const dst_col = view.dst;
-    const uint32_t *const src0_col = view.src0;
-    const uint32_t *const src1_col = view.src1;
-    const uint32_t *const src2_col = view.src2;
-    const uint32_t *const vl_col = view.vl;
-    const uint16_t *const sew_col = view.sew;
-    const uint16_t *const lmul8_col = view.lmul8;
-
-    // Datapath widths are powers of two on every real configuration;
-    // folding the per-op ceil-divide into a shift removes a 64-bit
-    // divider from the vector-op hot path (results are identical —
-    // the non-power-of-two fallback keeps the division).
-    const uint64_t dlen = static_cast<uint64_t>(cfg_.dlen);
-    const bool dlen_pow2 = dlen != 0 && (dlen & (dlen - 1)) == 0;
-    const int dlen_shift =
-        dlen_pow2 ? __builtin_ctzll(dlen) : 0;
-    auto div_dlen = [&](uint64_t x) -> uint64_t {
-        return dlen_pow2 ? x >> dlen_shift : x / dlen;
-    };
-
-    auto beats_of = [&](size_t i) -> uint64_t {
-        if (lmul8_col[i] > 8) {
-            uint64_t group_bits = static_cast<uint64_t>(lmul8_col[i]) *
-                                  static_cast<uint64_t>(cfg_.vlen) / 8;
-            return std::max<uint64_t>(1, div_dlen(group_bits + dlen - 1));
-        }
-        uint64_t live_bits = static_cast<uint64_t>(vl_col[i]) *
-                             static_cast<uint64_t>(sew_col[i]);
-        return std::max<uint64_t>(1, div_dlen(live_bits + dlen - 1));
-    };
-
-    auto coproc = [&](const isa::UopStreamView &, size_t i,
-                      uint64_t present, cpu::RegReadyFile &sregs,
-                      cpu::RegReadyFile &vregs)
-        -> std::pair<uint64_t, uint64_t> {
-        const UopKind kind = kind_col[i];
-        const uint32_t dst = dst_col[i];
-        uint64_t release = present;
-
-        if (kind == UopKind::VSetVl) {
-            // Decode-stage handling with a short interlock before the
-            // new VL takes effect for the following vector ops.
-            sregs.setReady(dst, present + 2);
-            return {present + 1, present + 2};
-        }
-
-        const uint32_t src0 = src0_col[i];
-        const uint32_t src1 = src1_col[i];
-        const uint32_t src2 = src2_col[i];
-
-        // Queue back-pressure: frontend blocks when the vector unit
-        // already holds vqDepth undrained instructions.
-        while (!st.inFlight.empty() && st.inFlight.front() <= present)
-            st.inFlight.popFront();
-        if (static_cast<int>(st.inFlight.size()) >= cfg_.vqDepth) {
-            uint64_t drain = st.inFlight.front();
-            st.stallQueueFull += drain - present;
-            release = drain;
-            st.inFlight.popFront();
-        }
-
-        uint64_t start = std::max(present, release);
-        // Chaining: wait for the first elements of vector operands.
-        for (uint32_t src : {src0, src1, src2}) {
-            if (src != isa::kNoReg && isa::Program::isVReg(src))
-                start = std::max(start, st.chainReady.readyTime(src));
-        }
-
-        uint64_t beats = beats_of(i);
-        uint64_t completion = 0;
-
-        switch (kind) {
-          case UopKind::VLoad:
-          case UopKind::VLoadStrided: {
-            start = std::max(start, st.vluFree);
-            uint64_t lat = static_cast<uint64_t>(cfg_.memLat);
-            uint64_t occ = kind == UopKind::VLoadStrided
-                               ? std::max<uint64_t>(vl_col[i], 1)
-                               : beats;
-            st.vluFree = start + occ;
-            completion = start + lat + occ;
-            st.chainReady.setReady(dst, start + lat + 1);
-            vregs.setReady(dst, completion);
-            break;
-          }
-          case UopKind::VStore: {
-            start = std::max(start, st.vsuFree);
-            // Stores need full operand data, not just the head.
-            for (uint32_t src : {src0, src1}) {
-                if (src != isa::kNoReg && isa::Program::isVReg(src))
-                    start = std::max(start, vregs.readyTime(src));
-            }
-            st.vsuFree = start + beats;
-            completion = start + beats + 1;
-            break;
-          }
-          case UopKind::VArith:
-          case UopKind::VFma: {
-            start = std::max(start, st.vxuFree);
-            st.vxuFree = start + beats;
-            completion =
-                start + static_cast<uint64_t>(cfg_.pipeLat) + beats;
-            st.chainReady.setReady(dst,
-                                   start + cfg_.pipeLat + cfg_.chainLat);
-            vregs.setReady(dst, completion);
-            break;
-          }
-          case UopKind::VRed: {
-            start = std::max(start, st.vxuFree);
-            // Reductions cannot chain out: full tree latency.
-            for (uint32_t src : {src0, src1}) {
-                if (src != isa::kNoReg && isa::Program::isVReg(src))
-                    start = std::max(start, vregs.readyTime(src));
-            }
-            // Ordered FP reductions are slow on short-vector
-            // machines: a multi-pass lane tree plus pipeline drain.
-            uint64_t tree = 12;
-            st.vxuFree = start + beats + tree;
-            completion = start + cfg_.pipeLat + beats + tree +
-                         static_cast<uint64_t>(cfg_.scalarMoveLat);
-            sregs.setReady(dst, completion);
-            break;
-          }
-          case UopKind::VMove: {
-            // vfmv.f.s: scalar destination, waits for full vreg.
-            uint64_t src_ready = 0;
-            if (src0 != isa::kNoReg && isa::Program::isVReg(src0))
-                src_ready = vregs.readyTime(src0);
-            start = std::max(start, src_ready);
-            completion =
-                start + static_cast<uint64_t>(cfg_.scalarMoveLat);
-            if (isa::Program::isVReg(dst)) {
-                vregs.setReady(dst, completion);
-                st.chainReady.setReady(dst, completion);
-            } else {
-                sregs.setReady(dst, completion);
-            }
-            break;
-          }
-          default:
-            rtoc_panic("saturn '%s': unsupported coprocessor uop %s",
-                       cfg_.name.c_str(), isa::uopName(kind));
-        }
-
-        st.inFlight.pushBack(completion);
-        ++st.vinstrs;
-        return {release, completion};
-    };
-
-    cpu::TimingResult result =
-        frontend.runStreamWithCoproc(view, coproc);
-    result.stats.set(saturnIds().vinstrs, st.vinstrs);
-    result.stats.set(saturnIds().stall_vq, st.stallQueueFull);
-    return result;
-}
-
+/**
+ * Saturn columnar engine over the in-order frontend engine, with a
+ * lane count fixed at compile time (kLanes > 0) or at run time (0).
+ */
+template <size_t kLanes>
 std::vector<cpu::TimingResult>
-SaturnModel::runStreamBatch(
-    const isa::UopStreamView &view,
-    const std::vector<const cpu::TimingModel *> &models) const
+replaySaturn(const isa::UopStreamView &view,
+             const std::vector<const SaturnModel *> &group)
 {
     using isa::UopKind;
-
     std::vector<cpu::InOrderConfig> frontends;
-    std::vector<const SaturnConfig *> cfgs;
-    frontends.reserve(models.size());
-    cfgs.reserve(models.size());
-    for (const cpu::TimingModel *m : models) {
-        const auto *sat = dynamic_cast<const SaturnModel *>(m);
-        if (!sat)
-            return TimingModel::runStreamBatch(view, models);
-        frontends.push_back(sat->config().frontend);
-        cfgs.push_back(&sat->config());
-    }
+    for (const SaturnModel *m : group)
+        frontends.push_back(m->config().frontend);
 
-    // Lane-major SoA vector-unit state: every per-lane quantity the
-    // old per-lane VectorUnitState held now lives in a flat array
-    // indexed by lane, so each per-kind lane loop below streams
-    // contiguous memory and vectorizes under RTOC_NATIVE. The batched
-    // coprocessor contract (one callback per uop, not per (lane,
-    // uop)) lets the kind switch, operand-row resolution and the
-    // beats branch hoist out of the lane loops; per-lane semantics
-    // are verbatim from the single-lane coproc above, so results stay
-    // bit-identical (pinned by tests and bench_sweep_scale).
-    const size_t L = models.size();
-    std::vector<uint64_t> vxu_free(L, 0), vlu_free(L, 0),
-        vsu_free(L, 0), stall_q(L, 0);
-    std::vector<uint64_t> vq_depth(L), pipe_lat(L), chain_lat(L),
-        mem_lat(L), sm_lat(L), dlen(L), vlen(L);
-    std::vector<uint64_t> beats(L), start_v(L);
-    std::vector<int> dlen_shift(L);
-    std::vector<uint8_t> dlen_pow2(L);
+    // Lane-major SoA vector-unit state: every per-lane quantity of
+    // the oracle's VectorUnitState lives in a flat array indexed by
+    // lane, so each per-kind lane loop below streams contiguous
+    // memory and vectorizes under RTOC_NATIVE. The engine presents
+    // each vector op once for all lanes, so the kind switch,
+    // operand-row resolution and the beats branch hoist out of the
+    // lane loops.
+    using U64Lanes = cpu::LaneArray<uint64_t, kLanes>;
+    const size_t L = kLanes ? kLanes : group.size();
+    U64Lanes vxu_free(L), vlu_free(L), vsu_free(L), stall_q(L);
+    U64Lanes vq_depth(L), pipe_lat(L), chain_lat(L), mem_lat(L),
+        sm_lat(L), dlen(L), vlen(L);
+    U64Lanes beats(L), start_v(L);
+    cpu::LaneArray<int, kLanes> dlen_shift(L);
+    cpu::LaneArray<uint8_t, kLanes> dlen_pow2(L);
     for (size_t l = 0; l < L; ++l) {
-        const SaturnConfig &c = *cfgs[l];
+        const SaturnConfig &c = group[l]->config();
         vq_depth[l] = static_cast<uint64_t>(c.vqDepth);
         pipe_lat[l] = static_cast<uint64_t>(c.pipeLat);
         chain_lat[l] = static_cast<uint64_t>(c.chainLat);
@@ -292,25 +112,21 @@ SaturnModel::runStreamBatch(
     // occupancy of lane l is vi - head[l], the front is
     // hist[head[l]*L + l], a pop is ++head[l], and the push is the
     // completion store the kind loops make anyway. No ring arithmetic
-    // and no separate push pass. The history is thread-local scratch
-    // so repeated batch calls never re-fault its pages.
-    size_t npush = 0;
-    for (size_t i = 0; i < view.n; ++i)
-        if (!(view.cls[i] & isa::kClsScalar) &&
-            view.kind[i] != UopKind::VSetVl)
-            ++npush;
+    // and no separate push pass. The history is thread-local scratch,
+    // grown on demand, so repeated replays never re-fault its pages.
     static thread_local std::vector<uint64_t> comp_hist;
-    comp_hist.resize(npush * L);
-    std::vector<uint64_t> head(L, 0);
+    U64Lanes head(L);
     size_t vi = 0; ///< pushes so far; lane occupancy = vi - head[l]
 
     // Lane-interleaved chaining file (first-element availability),
     // sized from the program's vector-register counter; reads of
-    // unwritten/out-of-range ids fall back to a zero row and writes
-    // of non-vreg destinations to a sink row, matching RegReadyFile.
+    // unwritten/out-of-range ids fall back to a zero row and kNoReg
+    // writes to a sink row, matching RegReadyFile. Every chain write
+    // pairs with a BatchRegFiles::vrowW of the same destination,
+    // which panics on an out-of-range id.
     const uint32_t nvreg = view.program->vectorRegCount();
     std::vector<uint64_t> chain(static_cast<size_t>(nvreg) * L, 0);
-    std::vector<uint64_t> chain_zero(L, 0), chain_sink(L, 0);
+    U64Lanes chain_zero(L), chain_sink(L);
     auto chain_row = [&](uint32_t reg) -> const uint64_t * {
         const uint32_t idx = reg & 0x7fffffffu;
         if (reg == isa::kNoReg || idx >= nvreg)
@@ -417,6 +233,12 @@ SaturnModel::runStreamBatch(
         // Queue push: the kind loops below store each completion into
         // the history row for this op as well as done[] — that store
         // IS the push (see the queue comment above).
+        if (comp_hist.size() < (vi + 1) * L) {
+            // Geometric growth, capped at the stream's bound (every
+            // uop pushes at most once).
+            comp_hist.resize(std::min(
+                view.n * L, std::max((vi + 1) * L, 2 * comp_hist.size())));
+        }
         uint64_t *const hrow = comp_hist.data() + vi * L;
 
         switch (kind) {
@@ -519,7 +341,7 @@ SaturnModel::runStreamBatch(
           }
           default:
             rtoc_panic("saturn '%s': unsupported coprocessor uop %s",
-                       cfgs[0]->name.c_str(), isa::uopName(kind));
+                       group.front()->name().c_str(), isa::uopName(kind));
         }
 
         ++vi;
@@ -527,12 +349,27 @@ SaturnModel::runStreamBatch(
     };
 
     std::vector<cpu::TimingResult> out =
-        cpu::runInOrderStreamBatchWithCoproc(view, frontends, coproc);
+        cpu::runInOrderStreamBatchWithCoproc<kLanes>(view, frontends,
+                                                     coproc);
     for (size_t l = 0; l < out.size(); ++l) {
         out[l].stats.set(saturnIds().vinstrs, vinstrs);
         out[l].stats.set(saturnIds().stall_vq, stall_q[l]);
     }
     return out;
+}
+
+} // namespace
+
+std::vector<cpu::TimingResult>
+SaturnModel::runStreamBatch(
+    const isa::UopStreamView &view,
+    const std::vector<const cpu::TimingModel *> &models) const
+{
+    std::vector<const SaturnModel *> group =
+        cpu::familyGroup<SaturnModel>(models, "Saturn");
+    if (group.size() == 1)
+        return replaySaturn<1>(view, group);
+    return replaySaturn<0>(view, group);
 }
 
 std::string

@@ -44,22 +44,18 @@ struct SaturnConfig
 };
 
 /** Saturn vector machine: in-order frontend + decoupled vector unit. */
-class SaturnModel : public cpu::CoreModel
+class SaturnModel : public cpu::TimingModel
 {
   public:
     explicit SaturnModel(SaturnConfig cfg) : cfg_(std::move(cfg)) {}
 
-    cpu::TimingResult
-    runStream(const isa::UopStreamView &view) const override;
-
     cpu::TimingResult runAos(const isa::Program &prog) const override;
 
     /**
-     * Fused vector-machine lane loop: one column pass advances one
+     * Vector-machine lane loop: one column pass advances one
      * (frontend scoreboard + vector-unit state) pair per SaturnModel
      * in @p models — lanes may differ in VLEN/DLEN/queue depth AND
-     * frontend. Bit-identical to sequential runStream; falls back to
-     * the sequential base when a foreign model appears in the group.
+     * frontend. Panics on a model of another family.
      */
     std::vector<cpu::TimingResult>
     runStreamBatch(const isa::UopStreamView &view,

@@ -3,12 +3,12 @@
  * Tests for the batched design-point replay path and the
  * work-stealing thread pool.
  *
- * Batched replay: runStreamBatch must be bit-identical to sequential
- * per-config runStream for every timing family, across emission
- * styles and >=8-config design sweeps (the batched loops are separate
- * transliterations of the single-lane loops, so equality is pinned
- * here rather than assumed). ReplayBatch grouping must preserve add()
- * order and fall back to the sequential base on mixed-family groups.
+ * Batched replay: every lane of a runStreamBatch group, and each
+ * model's one-lane runStream, must be bit-identical to the model's AoS
+ * oracle (runAos) for every timing family, across emission styles,
+ * an int16 stream and >=8-config design sweeps. ReplayBatch grouping
+ * must preserve add() order, and a family engine handed a mixed group
+ * must panic rather than misattribute lanes.
  *
  * Pool: work stealing makes execution order nondeterministic; these
  * tests pin what must NOT change — every index runs exactly once,
@@ -23,6 +23,7 @@
 #include <chrono>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -45,32 +46,50 @@ namespace {
 using cpu::TimingModel;
 using cpu::TimingResult;
 
-/** Batched results must match sequential runStream bit-for-bit. */
 void
-expectBatchMatchesSequential(const isa::Program &prog,
-                             const std::vector<const TimingModel *> &models,
-                             const char *label)
+expectSameResult(const TimingResult &got, const TimingResult &aos,
+                 const std::string &label)
+{
+    EXPECT_EQ(got.cycles, aos.cycles) << label;
+    ASSERT_EQ(got.regionCycles.size(), aos.regionCycles.size()) << label;
+    for (size_t r = 0; r < aos.regionCycles.size(); ++r)
+        EXPECT_EQ(got.regionCycles[r], aos.regionCycles[r])
+            << label << " region " << r;
+    // The stat counters (stall breakdowns, fence/queue telemetry)
+    // are part of the bit-exactness contract too.
+    EXPECT_EQ(got.stats.counters(), aos.stats.counters())
+        << label << " stats";
+}
+
+/**
+ * Every lane of one group replay over @p models, and each model's
+ * one-lane runStream, must match the model's AoS oracle bit-for-bit.
+ */
+void
+expectBatchMatchesOracle(const isa::Program &prog,
+                         const std::vector<const TimingModel *> &models,
+                         const std::string &label)
 {
     ASSERT_FALSE(models.empty());
     std::vector<TimingResult> batch =
         models.front()->runStreamBatch(prog.stream(), models);
     ASSERT_EQ(batch.size(), models.size()) << label;
     for (size_t i = 0; i < models.size(); ++i) {
-        TimingResult seq = models[i]->runStream(prog.stream());
-        EXPECT_EQ(batch[i].cycles, seq.cycles)
-            << label << " config " << i << " ("
-            << models[i]->name() << ")";
-        ASSERT_EQ(batch[i].regionCycles.size(), seq.regionCycles.size())
-            << label << " config " << i;
-        for (size_t r = 0; r < seq.regionCycles.size(); ++r) {
-            EXPECT_EQ(batch[i].regionCycles[r], seq.regionCycles[r])
-                << label << " config " << i << " region " << r;
-        }
-        // The stat counters (stall breakdowns, fence/queue telemetry)
-        // are part of the bit-exactness contract too.
-        EXPECT_EQ(batch[i].stats.counters(), seq.stats.counters())
-            << label << " config " << i << " stats";
+        const TimingResult aos = models[i]->runAos(prog);
+        const std::string tag = label + " config " + std::to_string(i) +
+                                " (" + models[i]->name() + ")";
+        expectSameResult(batch[i], aos, tag + " lane");
+        expectSameResult(models[i]->runStream(prog.stream()), aos,
+                         tag + " one-lane");
     }
+}
+
+/** The int16 stream of @p backend: the narrow-format oracle input. */
+isa::Program
+narrowSolve(matlib::Backend &backend, tinympc::MappingStyle style)
+{
+    backend.setFormat(matlib::NumericFormat::I16);
+    return bench::emitQuadSolve(backend, style, 2);
 }
 
 std::vector<cpu::InOrderConfig>
@@ -125,7 +144,12 @@ TEST(BatchedReplay, InOrderFamilyAcrossStylesAndConfigs)
             models.push_back(cores.back().get());
         }
         ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "inorder");
+        expectBatchMatchesOracle(*prog, models, "inorder");
+        if (style == tinympc::MappingStyle::Library) {
+            matlib::ScalarBackend nb(matlib::ScalarFlavor::Optimized);
+            expectBatchMatchesOracle(narrowSolve(nb, style), models,
+                                     "inorder i16");
+        }
     }
 }
 
@@ -164,7 +188,12 @@ TEST(BatchedReplay, OooFamilyAcrossStylesAndConfigs)
             models.push_back(cores.back().get());
         }
         ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "ooo");
+        expectBatchMatchesOracle(*prog, models, "ooo");
+        if (style == tinympc::MappingStyle::Library) {
+            matlib::ScalarBackend nb(matlib::ScalarFlavor::Optimized);
+            expectBatchMatchesOracle(narrowSolve(nb, style), models,
+                                     "ooo i16");
+        }
     }
 }
 
@@ -221,7 +250,13 @@ TEST(BatchedReplay, SaturnFamilyAcrossStylesAndConfigs)
             models.push_back(ms.back().get());
         }
         ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "saturn");
+        expectBatchMatchesOracle(*prog, models, "saturn");
+        if (style == tinympc::MappingStyle::Fused) {
+            matlib::RvvBackend nb(512,
+                                  matlib::RvvMapping::handOptimized());
+            expectBatchMatchesOracle(narrowSolve(nb, style), models,
+                                     "saturn i16");
+        }
     }
 }
 
@@ -263,7 +298,13 @@ TEST(BatchedReplay, GemminiFamilyAcrossStylesAndConfigs)
             models.push_back(ms.back().get());
         }
         ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "gemmini");
+        expectBatchMatchesOracle(*prog, models, "gemmini");
+        if (style == tinympc::MappingStyle::Library) {
+            matlib::GemminiBackend nb(
+                matlib::GemminiMapping::fullyOptimized());
+            expectBatchMatchesOracle(narrowSolve(nb, style), models,
+                                     "gemmini i16");
+        }
     }
 }
 
@@ -293,7 +334,7 @@ TEST(BatchedReplay, ReplayBatchGroupsMixedFamiliesInAddOrder)
     EXPECT_EQ(got[3].cycles, mega.run(*prog).cycles);
 }
 
-TEST(BatchedReplay, MixedFamilyGroupFallsBackToSequential)
+TEST(BatchedReplay, MixedFamilyGroupPanics)
 {
     matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
     auto prog =
@@ -301,15 +342,12 @@ TEST(BatchedReplay, MixedFamilyGroupFallsBackToSequential)
 
     cpu::InOrderCore rocket(cpu::InOrderConfig::rocket());
     cpu::OooCore boom(cpu::OooConfig::boomSmall());
-    // Dispatch a deliberately mixed group at an InOrderCore: the
-    // family driver must reject it and fall back, not crash or
-    // misattribute lanes.
+    // A deliberately mixed group dispatched at an InOrderCore: the
+    // family engine must refuse it rather than misattribute lanes
+    // (ReplayBatch never builds such a group; it groups by type).
     std::vector<const TimingModel *> group = {&rocket, &boom};
-    std::vector<TimingResult> got =
-        rocket.runStreamBatch(prog->stream(), group);
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0].cycles, rocket.run(*prog).cycles);
-    EXPECT_EQ(got[1].cycles, boom.run(*prog).cycles);
+    EXPECT_DEATH(rocket.runStreamBatch(prog->stream(), group),
+                 "in-order replay group given foreign model 'boom-small'");
 }
 
 TEST(BatchedReplay, BatchCalibrationMatchesSequential)

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
 #include "isa/program.hh"
+#include "systolic/gemmini.hh"
+#include "vector/saturn.hh"
 
 namespace rtoc::cpu {
 namespace {
@@ -243,6 +247,38 @@ TEST(Models, EmptyProgramIsZeroCycles)
     EXPECT_EQ(rocket.run(p).cycles, 0u);
     OooCore boom(OooConfig::boomSmall());
     EXPECT_EQ(boom.run(p).cycles, 0u);
+}
+
+TEST(Models, RejectOutOfRangeDestinationRegister)
+{
+    // A uop writing a register the program never allocated (a
+    // malformed or badly decoded stream) must stop every engine: the
+    // AoS oracle would keep the write, so dropping it would silently
+    // change the cycles.
+    Program scalar;
+    const uint32_t r = scalar.newReg();
+    scalar.push(Uop::scalar(UopKind::IntAlu, r));
+    scalar.push(Uop::scalar(UopKind::IntAlu, r + 7, r));
+    InOrderCore rocket(InOrderConfig::rocket());
+    OooCore boom(OooConfig::boomSmall());
+    systolic::GemminiModel gemmini(systolic::GemminiConfig::os4x4());
+    const std::string bad_scalar =
+        "scalar register " + std::to_string(r + 7) +
+        "; the program declares " +
+        std::to_string(scalar.scalarRegCount());
+    EXPECT_DEATH(rocket.run(scalar), bad_scalar);
+    EXPECT_DEATH(boom.run(scalar), bad_scalar);
+    EXPECT_DEATH(gemmini.run(scalar), bad_scalar);
+
+    Program vec;
+    const uint32_t v = vec.newVReg();
+    vec.push(Uop::vec(UopKind::VArith, v, kNoReg, kNoReg, 8));
+    vec.push(Uop::vec(UopKind::VArith, v + 3, v, kNoReg, 8));
+    vector::SaturnModel saturn(vector::SaturnConfig::make(512, 256, false));
+    const std::string bad_vector =
+        "vector register " + std::to_string((v & 0x7fffffffu) + 3) +
+        "; the program declares " + std::to_string(vec.vectorRegCount());
+    EXPECT_DEATH(saturn.run(vec), bad_vector);
 }
 
 } // namespace

@@ -68,19 +68,45 @@ samePrograms(const isa::Program &a, const isa::Program &b)
 }
 
 void
-expectRunsMatch(const cpu::TimingModel &model, const isa::Program &prog,
-                const std::string &label)
+expectSameResult(const cpu::TimingResult &got,
+                 const cpu::TimingResult &aos, const std::string &label)
 {
-    cpu::TimingResult soa = model.run(prog);
-    cpu::TimingResult aos = model.runAos(prog);
-    EXPECT_EQ(static_cast<uint64_t>(soa.cycles),
+    EXPECT_EQ(static_cast<uint64_t>(got.cycles),
               static_cast<uint64_t>(aos.cycles))
         << label;
-    ASSERT_EQ(soa.regionCycles.size(), aos.regionCycles.size()) << label;
-    for (size_t i = 0; i < soa.regionCycles.size(); ++i) {
-        ASSERT_EQ(soa.regionCycles[i], aos.regionCycles[i])
+    ASSERT_EQ(got.regionCycles.size(), aos.regionCycles.size()) << label;
+    for (size_t i = 0; i < got.regionCycles.size(); ++i) {
+        ASSERT_EQ(got.regionCycles[i], aos.regionCycles[i])
             << label << " region " << i;
     }
+}
+
+/**
+ * The columnar engine against the AoS oracle: each model's one-lane
+ * run() and its lane of one group replay over @p family (models of
+ * one family) must reproduce runAos bit-for-bit.
+ */
+void
+expectRunsMatch(const std::vector<const cpu::TimingModel *> &family,
+                const isa::Program &prog, const std::string &label)
+{
+    std::vector<cpu::TimingResult> group =
+        family.front()->runStreamBatch(prog.stream(), family);
+    ASSERT_EQ(group.size(), family.size()) << label;
+    for (size_t i = 0; i < family.size(); ++i) {
+        const cpu::TimingResult aos = family[i]->runAos(prog);
+        const std::string tag = label + " " + family[i]->name();
+        expectSameResult(family[i]->run(prog), aos, tag + " one-lane");
+        expectSameResult(group[i], aos, tag + " group lane");
+    }
+}
+
+/** The int16 stream of @p backend: the narrow-format oracle input. */
+isa::Program
+narrowSolve(matlib::Backend &backend, tinympc::MappingStyle style)
+{
+    backend.setFormat(matlib::NumericFormat::I16);
+    return bench::emitQuadSolve(backend, style, 2);
 }
 
 // --- SoA vs AoS bit-exactness, all four model families ---
@@ -88,58 +114,60 @@ expectRunsMatch(const cpu::TimingModel &model, const isa::Program &prog,
 TEST(UopStream, SoaMatchesAosOnScalarModels)
 {
     using tinympc::MappingStyle;
+    cpu::InOrderCore rocket(cpu::InOrderConfig::rocket());
+    cpu::InOrderCore shuttle(cpu::InOrderConfig::shuttle());
+    cpu::OooCore small(cpu::OooConfig::boomSmall());
+    cpu::OooCore mega(cpu::OooConfig::boomMega());
+    auto check = [&](const isa::Program &prog, const std::string &tag) {
+        expectRunsMatch({&rocket, &shuttle}, prog, "in-order " + tag);
+        expectRunsMatch({&small, &mega}, prog, "boom " + tag);
+    };
     for (auto style : {MappingStyle::Library, MappingStyle::LibraryPerStep,
                        MappingStyle::Fused}) {
         matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
-        auto prog = bench::emitQuadSolveCached(b, style);
-        std::string tag = "style " + std::to_string(static_cast<int>(style));
-        expectRunsMatch(cpu::InOrderCore(cpu::InOrderConfig::rocket()),
-                        *prog, "rocket " + tag);
-        expectRunsMatch(cpu::InOrderCore(cpu::InOrderConfig::shuttle()),
-                        *prog, "shuttle " + tag);
-        expectRunsMatch(cpu::OooCore(cpu::OooConfig::boomSmall()), *prog,
-                        "boom-small " + tag);
-        expectRunsMatch(cpu::OooCore(cpu::OooConfig::boomMega()), *prog,
-                        "boom-mega " + tag);
+        check(*bench::emitQuadSolveCached(b, style),
+              "style " + std::to_string(static_cast<int>(style)));
     }
+    matlib::ScalarBackend nb(matlib::ScalarFlavor::Optimized);
+    check(narrowSolve(nb, MappingStyle::Library), "i16");
 }
 
 TEST(UopStream, SoaMatchesAosOnSaturn)
 {
     using tinympc::MappingStyle;
+    vector::SaturnModel rocket_fe(vector::SaturnConfig::make(512, 256, false));
+    vector::SaturnModel shuttle_fe(vector::SaturnConfig::make(512, 256, true));
+    const std::vector<const cpu::TimingModel *> family = {&rocket_fe,
+                                                          &shuttle_fe};
     for (auto style : {MappingStyle::Library, MappingStyle::LibraryPerStep,
                        MappingStyle::Fused}) {
         matlib::RvvBackend b(512, matlib::RvvMapping::handOptimized());
-        auto prog = bench::emitQuadSolveCached(b, style);
-        std::string tag = "style " + std::to_string(static_cast<int>(style));
-        expectRunsMatch(
-            vector::SaturnModel(vector::SaturnConfig::make(512, 256, false)),
-            *prog, "saturn-rocket " + tag);
-        expectRunsMatch(
-            vector::SaturnModel(vector::SaturnConfig::make(512, 256, true)),
-            *prog, "saturn-shuttle " + tag);
+        expectRunsMatch(family, *bench::emitQuadSolveCached(b, style),
+                        "saturn style " +
+                            std::to_string(static_cast<int>(style)));
     }
+    matlib::RvvBackend nb(512, matlib::RvvMapping::handOptimized());
+    expectRunsMatch(family, narrowSolve(nb, MappingStyle::Fused),
+                    "saturn i16");
 }
 
 TEST(UopStream, SoaMatchesAosOnGemmini)
 {
     using tinympc::MappingStyle;
+    systolic::GemminiModel os(systolic::GemminiConfig::os4x4(64));
+    systolic::GemminiModel ws(systolic::GemminiConfig::ws4x4(64));
+    systolic::GemminiModel hw(systolic::GemminiConfig::os4x4HwGemv(64));
+    const std::vector<const cpu::TimingModel *> family = {&os, &ws, &hw};
     for (auto style :
          {MappingStyle::Library, MappingStyle::LibraryPerStep}) {
         matlib::GemminiBackend b(matlib::GemminiMapping::fullyOptimized());
-        auto prog = bench::emitQuadSolveCached(b, style);
-        std::string tag = "style " + std::to_string(static_cast<int>(style));
-        expectRunsMatch(
-            systolic::GemminiModel(systolic::GemminiConfig::os4x4(64)),
-            *prog, "os4x4 " + tag);
-        expectRunsMatch(
-            systolic::GemminiModel(systolic::GemminiConfig::ws4x4(64)),
-            *prog, "ws4x4 " + tag);
-        expectRunsMatch(
-            systolic::GemminiModel(
-                systolic::GemminiConfig::os4x4HwGemv(64)),
-            *prog, "os4x4hwgemv " + tag);
+        expectRunsMatch(family, *bench::emitQuadSolveCached(b, style),
+                        "gemmini style " +
+                            std::to_string(static_cast<int>(style)));
     }
+    matlib::GemminiBackend nb(matlib::GemminiMapping::fullyOptimized());
+    expectRunsMatch(family, narrowSolve(nb, MappingStyle::Library),
+                    "gemmini i16");
 }
 
 // --- column store fidelity ---
