@@ -10,12 +10,11 @@
  *     pass. Equality of every cycle count between the two is a hard
  *     assertion; the wall-clock ratio is the batched-replay speedup
  *     (full runs enforce >= 1.5x on the scalar/in-order family).
- *  2. ADMM kernel hot path — the tuned matlib::ref kernels (restrict
- *     unit-stride fast paths with reference-order accumulation, fused
- *     gemvSaxpby) against the pre-tuning reference loops kept
- *     verbatim in this file under noipa. Bit-equality of outputs is a
- *     hard assertion; speedups are reported per kernel plus an
- *     end-to-end functional solve rate.
+ *  2. Functional ADMM solve — host microseconds per solve of the
+ *     quadrotor problem (5 iterations, no emission) on each numeric
+ *     format's kernels: float32 ref:: and the bf16/i32/i16 fx::
+ *     datapaths. Bit-exactness of the kernels is tier-1's job
+ *     (test_matlib, test_precision); this section only times them.
  *  3. Pool scaling — deterministically skewed task sets on the
  *     work-stealing pool, serial vs pooled, plus the grain knob's
  *     effect on tiny-task overhead. Result equality is a hard
@@ -36,7 +35,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -158,133 +156,6 @@ measureBatch(const std::string &family,
     return row;
 }
 
-// --- section 2: ADMM kernel hot path ---
-
-/**
- * Pre-tuning reference kernels, verbatim from the historical
- * matlib::ref implementations: the baseline the tuned fast paths are
- * pinned against (bit-equality) and measured against (speedup).
- */
-namespace base {
-
-using matlib::Mat;
-
-// noipa: the tuned kernels live behind a library call with runtime
-// dimensions; the baselines must pay the same boundary (no inlining,
-// no IPA constant propagation of the bench's fixed shapes) or the
-// comparison measures the optimizer's specialization, not the
-// kernels.
-
-__attribute__((noipa)) void
-gemv(Mat y, const Mat &a, Mat x, float alpha, float beta)
-{
-    for (int i = 0; i < a.rows; ++i) {
-        float acc = 0.0f;
-        for (int j = 0; j < a.cols; ++j)
-            acc += a.at(i, j) * x[j];
-        y[i] = alpha * acc + beta * y[i];
-    }
-}
-
-__attribute__((noipa)) void
-gemvT(Mat y, const Mat &a, Mat x, float alpha, float beta)
-{
-    for (int j = 0; j < a.cols; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < a.rows; ++i)
-            acc += a.at(i, j) * x[i];
-        y[j] = alpha * acc + beta * y[j];
-    }
-}
-
-__attribute__((noipa)) void
-saxpby(Mat out, float sa, const Mat &a, float sb, const Mat &b)
-{
-    for (int i = 0; i < out.size(); ++i)
-        out.data[i] = sa * a.data[i] + sb * b.data[i];
-}
-
-__attribute__((noipa)) void
-clampVec(Mat out, const Mat &a, const Mat &lo, const Mat &hi)
-{
-    for (int i = 0; i < out.size(); ++i) {
-        float v = a.data[i];
-        v = std::fmax(v, lo.data[i]);
-        v = std::fmin(v, hi.data[i]);
-        out.data[i] = v;
-    }
-}
-
-/** The historical gemv→saxpby call pair the fused kernel replaces. */
-__attribute__((noipa)) void
-gemvThenSaxpby(Mat y, const Mat &a, Mat x, float alpha, float beta,
-               float sa, float sb, const Mat &b)
-{
-    gemv(y, a, x, alpha, beta);
-    saxpby(y, sa, y, sb, b);
-}
-
-} // namespace base
-
-struct KernelRow
-{
-    std::string name;
-    double baseNs = 0.0;
-    double tunedNs = 0.0;
-    double speedup = 0.0;
-    bool equal = true;
-};
-
-/** Deterministic pseudo-random fill (no <random>). */
-void
-fillBuf(std::vector<float> &v, uint64_t seed)
-{
-    for (float &f : v) {
-        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-        f = static_cast<float>(static_cast<int64_t>(seed >> 33)) /
-            (1u << 30);
-    }
-}
-
-template <typename BaseFn, typename TunedFn>
-KernelRow
-measureKernel(const std::string &name, int reps, int inner,
-              std::vector<float> &out_base, std::vector<float> &out_tuned,
-              BaseFn &&run_base, TunedFn &&run_tuned)
-{
-    KernelRow row;
-    row.name = name;
-
-    // Bit-equality pin (run once from identical starting buffers).
-    run_base();
-    run_tuned();
-    row.equal = out_base == out_tuned;
-
-    // The memory clobber keeps the compiler from proving repeated
-    // calls idempotent and collapsing the timing loop to one call.
-    auto barrier = [] { asm volatile("" ::: "memory"); };
-    row.baseNs = 1e30;
-    row.tunedNs = 1e30;
-    for (int r = 0; r < reps; ++r) {
-        double t0 = nowS();
-        for (int k = 0; k < inner; ++k) {
-            run_base();
-            barrier();
-        }
-        row.baseNs = std::min(row.baseNs, (nowS() - t0) / inner * 1e9);
-
-        t0 = nowS();
-        for (int k = 0; k < inner; ++k) {
-            run_tuned();
-            barrier();
-        }
-        row.tunedNs =
-            std::min(row.tunedNs, (nowS() - t0) / inner * 1e9);
-    }
-    row.speedup = row.tunedNs > 0 ? row.baseNs / row.tunedNs : 0.0;
-    return row;
-}
-
 // --- section 3: pool scaling ---
 
 /** Deterministic skewed busy-work shaped like a sweep cell: a few
@@ -316,8 +187,6 @@ main(int argc, char **argv)
     const bool full_bars = !smoke || cli.has("full-bars");
     const std::string json_path = cli.getString("json", "");
     const int batch_runs = smoke ? 5 : 40;
-    const int kernel_reps = smoke ? 20 : 200;
-    const int kernel_inner = smoke ? 200 : 2000;
 
     // ---------- 1. batched design-point replay ----------
     std::vector<BatchRow> batch_rows;
@@ -449,182 +318,44 @@ main(int argc, char **argv)
     }
     bt.print();
 
-    // ---------- 2. ADMM kernel hot path ----------
-    // Representative shapes: the quadrotor's 12x4/12x12 gemvs and the
-    // horizon-10 slack/dual vectors.
-    const int nx = 12, nu = 4, hor = 10;
-    std::vector<float> a_kinf(static_cast<size_t>(nu) * nx);
-    std::vector<float> a_adyn(static_cast<size_t>(nx) * nx);
-    std::vector<float> xv(nx), xu(nu);
-    std::vector<float> vec_a(static_cast<size_t>(hor) * nx);
-    std::vector<float> vec_b(vec_a.size()), lo(vec_a.size()),
-        hi(vec_a.size());
-    fillBuf(a_kinf, 11);
-    fillBuf(a_adyn, 12);
-    fillBuf(xv, 13);
-    fillBuf(xu, 14);
-    fillBuf(vec_a, 15);
-    fillBuf(vec_b, 16);
-    fillBuf(lo, 17);
-    fillBuf(hi, 18);
-    for (size_t i = 0; i < lo.size(); ++i) {
-        if (lo[i] > hi[i])
-            std::swap(lo[i], hi[i]);
-    }
-
-    using matlib::Mat;
-    std::vector<float> out_base(vec_a.size()), out_tuned(vec_a.size());
-    std::vector<KernelRow> kernel_rows;
-
-    auto resetOuts = [&] {
-        fillBuf(out_base, 99);
-        out_tuned = out_base;
-    };
-
-    resetOuts();
-    kernel_rows.push_back(measureKernel(
-        "gemv 12x12", kernel_reps, kernel_inner, out_base, out_tuned,
-        [&] {
-            base::gemv(Mat(out_base.data(), 1, nx),
-                       Mat(a_adyn.data(), nx, nx), Mat(xv.data(), 1, nx),
-                       1.0f, 0.0f);
-        },
-        [&] {
-            matlib::ref::gemv(Mat(out_tuned.data(), 1, nx),
-                              Mat(a_adyn.data(), nx, nx),
-                              Mat(xv.data(), 1, nx), 1.0f, 0.0f);
-        }));
-
-    resetOuts();
-    kernel_rows.push_back(measureKernel(
-        "gemv 4x12", kernel_reps, kernel_inner, out_base, out_tuned,
-        [&] {
-            base::gemv(Mat(out_base.data(), 1, nu),
-                       Mat(a_kinf.data(), nu, nx), Mat(xv.data(), 1, nx),
-                       -1.0f, 0.0f);
-        },
-        [&] {
-            matlib::ref::gemv(Mat(out_tuned.data(), 1, nu),
-                              Mat(a_kinf.data(), nu, nx),
-                              Mat(xv.data(), 1, nx), -1.0f, 0.0f);
-        }));
-
-    resetOuts();
-    kernel_rows.push_back(measureKernel(
-        "gemvT 12x12", kernel_reps, kernel_inner, out_base, out_tuned,
-        [&] {
-            base::gemvT(Mat(out_base.data(), 1, nx),
-                        Mat(a_adyn.data(), nx, nx),
-                        Mat(xv.data(), 1, nx), -1.0f, 0.0f);
-        },
-        [&] {
-            matlib::ref::gemvT(Mat(out_tuned.data(), 1, nx),
-                               Mat(a_adyn.data(), nx, nx),
-                               Mat(xv.data(), 1, nx), -1.0f, 0.0f);
-        }));
-
-    resetOuts();
-    kernel_rows.push_back(measureKernel(
-        "saxpby 120", kernel_reps, kernel_inner, out_base, out_tuned,
-        [&] {
-            base::saxpby(Mat(out_base.data(), 1,
-                             static_cast<int>(vec_a.size())),
-                         -0.5f, Mat(vec_a.data(), 1,
-                                    static_cast<int>(vec_a.size())),
-                         0.5f, Mat(vec_b.data(), 1,
-                                   static_cast<int>(vec_b.size())));
-        },
-        [&] {
-            matlib::ref::saxpby(
-                Mat(out_tuned.data(), 1,
-                    static_cast<int>(vec_a.size())),
-                -0.5f,
-                Mat(vec_a.data(), 1, static_cast<int>(vec_a.size())),
-                0.5f,
-                Mat(vec_b.data(), 1, static_cast<int>(vec_b.size())));
-        }));
-
-    resetOuts();
-    kernel_rows.push_back(measureKernel(
-        "clampVec 120", kernel_reps, kernel_inner, out_base, out_tuned,
-        [&] {
-            base::clampVec(
-                Mat(out_base.data(), 1, static_cast<int>(vec_a.size())),
-                Mat(vec_a.data(), 1, static_cast<int>(vec_a.size())),
-                Mat(lo.data(), 1, static_cast<int>(lo.size())),
-                Mat(hi.data(), 1, static_cast<int>(hi.size())));
-        },
-        [&] {
-            matlib::ref::clampVec(
-                Mat(out_tuned.data(), 1,
-                    static_cast<int>(vec_a.size())),
-                Mat(vec_a.data(), 1, static_cast<int>(vec_a.size())),
-                Mat(lo.data(), 1, static_cast<int>(lo.size())),
-                Mat(hi.data(), 1, static_cast<int>(hi.size())));
-        }));
-
-    resetOuts();
-    kernel_rows.push_back(measureKernel(
-        "gemv+saxpby fused 12x12", kernel_reps, kernel_inner, out_base,
-        out_tuned,
-        [&] {
-            base::gemvThenSaxpby(Mat(out_base.data(), 1, nx),
-                                 Mat(a_adyn.data(), nx, nx),
-                                 Mat(xv.data(), 1, nx), 1.0f, 0.0f,
-                                 1.0f, 1.0f, Mat(vec_b.data(), 1, nx));
-        },
-        [&] {
-            matlib::ref::gemvSaxpby(Mat(out_tuned.data(), 1, nx),
-                                    Mat(a_adyn.data(), nx, nx),
-                                    Mat(xv.data(), 1, nx), 1.0f, 0.0f,
-                                    1.0f, 1.0f,
-                                    Mat(vec_b.data(), 1, nx));
-        }));
-
-    Table kt("ADMM kernel hot path: pre-tuning loops vs tuned "
-             "matlib::ref (bit-identical outputs)",
-             {"kernel", "base ns", "tuned ns", "speedup", "bit-equal"});
-    bool kernels_equal = true;
-    double kernel_geomean = 1.0;
-    for (const auto &r : kernel_rows) {
-        kt.addRow({r.name, Table::num(r.baseNs, 1),
-                   Table::num(r.tunedNs, 1),
-                   Table::num(r.speedup, 2) + "x",
-                   r.equal ? "yes" : "NO"});
-        kernels_equal = kernels_equal && r.equal;
-        kernel_geomean *= r.speedup;
-    }
-    kernel_geomean =
-        std::pow(kernel_geomean, 1.0 / kernel_rows.size());
-    kt.print();
-
-    // End-to-end functional solve rate (the per-tick HIL hot path:
-    // no emission attached).
-    double solve_us;
-    {
+    // ---------- 2. functional ADMM solve per format ----------
+    // The per-tick HIL hot path: no emission attached, so only the
+    // functional kernels run.
+    const matlib::NumericFormat formats[] = {
+        matlib::NumericFormat::F32, matlib::NumericFormat::BF16,
+        matlib::NumericFormat::I32, matlib::NumericFormat::I16};
+    std::vector<double> solve_us;
+    for (matlib::NumericFormat fmt : formats) {
         quad::DroneParams drone = quad::DroneParams::crazyflie();
         tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
         ws.settings.maxIters = 5;
         ws.settings.priTol = 0.0f;
         ws.settings.duaTol = 0.0f;
         matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
+        if (fmt != matlib::NumericFormat::F32) {
+            backend.setFormat(fmt);
+            backend.setFixedScaling(
+                tinympc::calibrateFixedScaling(ws, fmt));
+        }
         tinympc::Solver solver(ws, backend,
                                tinympc::MappingStyle::Library);
         float x0[12] = {0.4f, -0.2f, 0.9f, 0, 0, 0, 0, 0, 0, 0, 0, 0};
         ws.setInitialState(x0);
         solver.solve(); // warm
         const int solves = smoke ? 200 : 2000;
-        solve_us = 1e30;
+        double best = 1e30;
         for (int r = 0; r < (smoke ? 5 : 20); ++r) {
             double t0 = nowS();
             for (int s = 0; s < solves; ++s)
                 solver.solve();
-            solve_us = std::min(solve_us, (nowS() - t0) / solves * 1e6);
+            best = std::min(best, (nowS() - t0) / solves * 1e6);
         }
-        std::printf("Functional ADMM solve (5 iters, 12x4xN10, no "
-                    "emission): %.2f us/solve (%.0f solves/s)\n\n",
-                    solve_us, 1e6 / solve_us);
+        solve_us.push_back(best);
+        std::printf("Functional ADMM solve %-4s (5 iters, 12x4xN10, no "
+                    "emission): %.2f us/solve (%.0f solves/s)\n",
+                    matlib::formatName(fmt), best, 1e6 / best);
     }
+    std::printf("\n");
 
     // ---------- 3. pool scaling ----------
     const size_t pool_n = smoke ? 96 : 512;
@@ -707,21 +438,12 @@ main(int argc, char **argv)
                          r.equal ? "true" : "false",
                          i + 1 < batch_rows.size() ? "," : "");
         }
-        std::fprintf(f, "  ],\n  \"kernels\": [\n");
-        for (size_t i = 0; i < kernel_rows.size(); ++i) {
-            const auto &r = kernel_rows[i];
-            std::fprintf(f,
-                         "    {\"name\": \"%s\", \"base_ns\": %.2f, "
-                         "\"tuned_ns\": %.2f, \"speedup\": %.3f, "
-                         "\"equal\": %s}%s\n",
-                         r.name.c_str(), r.baseNs, r.tunedNs, r.speedup,
-                         r.equal ? "true" : "false",
-                         i + 1 < kernel_rows.size() ? "," : "");
+        std::fprintf(f, "  ],\n  \"solve_us\": {");
+        for (size_t i = 0; i < solve_us.size(); ++i) {
+            std::fprintf(f, "%s\"%s\": %.3f", i ? ", " : "",
+                         matlib::formatName(formats[i]), solve_us[i]);
         }
-        std::fprintf(f,
-                     "  ],\n  \"kernel_speedup_geomean\": %.3f,\n"
-                     "  \"solve_us\": %.3f,\n",
-                     kernel_geomean, solve_us);
+        std::fprintf(f, "},\n");
         std::fprintf(f,
                      "  \"pool\": {\"tasks\": %zu, \"serial_s\": %.4f, "
                      "\"pool_s\": %.4f, \"threads\": %d, "
@@ -736,11 +458,9 @@ main(int argc, char **argv)
         std::printf("Wrote %s\n", json_path.c_str());
     }
 
-    bool ok = batch_equal && kernels_equal && pool_equal;
+    bool ok = batch_equal && pool_equal;
     if (!batch_equal)
         std::printf("\nFAIL: N-lane replay diverged from one-lane\n");
-    if (!kernels_equal)
-        std::printf("\nFAIL: tuned kernels diverged from reference\n");
     if (!pool_equal)
         std::printf("\nFAIL: pooled sweep diverged from serial\n");
     if (full_bars && inorder_speedup < 1.5) {

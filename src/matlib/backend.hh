@@ -70,8 +70,16 @@ class Backend
     /** Select the datapath format (F32 restores the exact baseline). */
     void setFormat(NumericFormat f) { fmt_ = f; }
 
-    /** Per-kernel fixed-point shift schedule (I16/I32 only). */
-    void setFixedScaling(const fx::Scaling &s) { scaling_ = s; }
+    /**
+     * Per-kernel fixed-point shift schedule (I16/I32 only); fatal on a
+     * fraction outside the current format's range (fx::checkScaling).
+     */
+    void
+    setFixedScaling(const fx::Scaling &s)
+    {
+        fx::checkScaling(fmt_, s);
+        scaling_ = s;
+    }
     const fx::Scaling &fixedScaling() const { return scaling_; }
 
     /** Element width in bits of emitted uops for this format. */

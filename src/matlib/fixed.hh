@@ -20,6 +20,25 @@
  * Saturation events are counted per backend (quantizer clamps and
  * accumulator clamps separately) — the telemetry the precision Pareto
  * bench reports next to divergence rates.
+ *
+ * Kernel structure (fixed.cc). Each call dispatches on the format
+ * once; the loops are instantiated per format with every grid scale
+ * hoisted out. Results and counters are bit-identical to quantizing
+ * every operand per use, element by element (the oracle in
+ * test_precision):
+ *  - the vector operand is converted once per call, not once per row,
+ *    and its clamp count is added once per row — the same total. When
+ *    the output overlaps it, it is re-converted before every row, so
+ *    aliased calls keep their in-order semantics;
+ *  - llround is add-half-and-truncate: the scaled value is a float
+ *    (at most 24 significant bits) or a clamped integer end, with
+ *    |v| <= 2^31, so v +- 0.5 is exact whenever |v| >= 0.5 and stays
+ *    below 1 otherwise;
+ *  - the accumulator round-shift works on the magnitude in unsigned
+ *    arithmetic, and a left shift (outFrac > aFrac + xFrac) saturates
+ *    when the product leaves int64, so no path overflows.
+ * Fractions outside [0, magnitude bits - 1] are rejected up front
+ * (checkScaling), which bounds the shifts.
  */
 
 #ifndef RTOC_MATLIB_FIXED_HH
@@ -102,6 +121,14 @@ struct Scaling
     static Scaling forRanges(NumericFormat f, double mat_range,
                              double vec_range, double acc_range);
 };
+
+/**
+ * Fatal unless every fraction of @p s lies in [0, magnitude bits - 1]
+ * of @p f (14 for i16, 30 for i32 and the unscaled formats): the range
+ * Scaling::forRanges produces, and the one that bounds the kernels'
+ * shift schedule.
+ */
+void checkScaling(NumericFormat f, const Scaling &s);
 
 /** Saturation telemetry of one backend's fixed-point datapath. */
 struct Counters

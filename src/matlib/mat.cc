@@ -1,7 +1,5 @@
 #include "mat.hh"
 
-#include <cstdint>
-
 namespace rtoc::matlib::ref {
 
 /*
@@ -9,30 +7,45 @@ namespace rtoc::matlib::ref {
  * solve funnels through these float32 loops, so each kernel has a
  * `__restrict` unit-stride fast path taken when the operand ranges
  * are provably disjoint. The fast paths keep the reference loop
- * structure and accumulation order EXACTLY — reductions stay one
- * serial chain, elementwise bodies stay per-index — so results are
- * bit-identical to the reference loops (pinned by the kernel-tuning
- * bench and the golden figure outputs). What `restrict` buys is the
- * compiler's cross-output vectorization (independent output chains of
- * gemv/gemvT packed into SIMD lanes — legal without reassociating any
- * single chain) and the removal of runtime alias-versioning checks in
- * the elementwise kernels. A hand-unrolled 4-wide variant was tried
- * and LOST to this form: manual unrolling of the reduction dimension
- * blocks exactly that cross-output vectorization (bench_sweep_scale
- * is the referee). Aliased calls (e.g. saxpby(u, 1, u, -1, d)) fall
- * back to the reference loop, whose in-order semantics they rely on.
+ * structure and accumulation order EXACTLY — sums stay one serial
+ * chain, elementwise bodies stay per-index — so results are
+ * bit-identical to the reference loops (pinned bitwise in
+ * test_matlib and by the golden figure outputs). What `restrict` buys is the compiler's cross-output
+ * vectorization (independent output chains of gemv/gemvT packed into
+ * SIMD lanes — legal without reassociating any single chain) and the
+ * removal of runtime alias-versioning checks in the elementwise
+ * kernels. A hand-unrolled 4-wide variant was tried and LOST to this
+ * form: manual unrolling of the reduction dimension blocks exactly
+ * that cross-output vectorization. Aliased calls (e.g.
+ * saxpby(u, 1, u, -1, d)) fall back to the reference loop, whose
+ * in-order semantics they rely on.
+ *
+ * The clamps and the residual reduction use inline selects with
+ * glibc's exact results instead of std::fmax/std::fmin, which compile
+ * to libm calls (pinned against the library on adversarial operands
+ * in test_matlib). absMaxDiff's maximum is order-free, so it runs on
+ * independent lanes.
  */
 
 namespace {
 
-/** True when [p, p+n) and [q, q+m) do not overlap. */
-inline bool
-disjoint(const float *p, int n, const float *q, int m)
+/**
+ * glibc's fmaxf/fminf as inline selects. On x86-64 glibc is
+ * maxss/minss plus a NaN fix-up: a NaN operand yields the other
+ * operand (the first when both are NaN), and a tie, which includes
+ * +0 against -0, yields the second operand. Signalling NaNs, which
+ * glibc quiets instead, are not produced by the solver's arithmetic.
+ */
+inline float
+fmaxSel(float x, float y)
 {
-    auto pb = reinterpret_cast<uintptr_t>(p);
-    auto qb = reinterpret_cast<uintptr_t>(q);
-    return pb + static_cast<uintptr_t>(n) * sizeof(float) <= qb ||
-           qb + static_cast<uintptr_t>(m) * sizeof(float) <= pb;
+    return x > y || std::isnan(y) ? x : y;
+}
+
+inline float
+fminSel(float x, float y)
+{
+    return x < y || std::isnan(y) ? x : y;
 }
 
 } // namespace
@@ -274,16 +287,16 @@ clampVec(Mat out, const Mat &a, const Mat &lo, const Mat &hi)
         const float *__restrict hp = hi.data;
         for (int i = 0; i < n; ++i) {
             float v = a.data[i];
-            v = std::fmax(v, lp[i]);
-            v = std::fmin(v, hp[i]);
+            v = fmaxSel(v, lp[i]);
+            v = fminSel(v, hp[i]);
             out.data[i] = v;
         }
         return;
     }
     for (int i = 0; i < n; ++i) {
         float v = a.data[i];
-        v = std::fmax(v, lo.data[i]);
-        v = std::fmin(v, hi.data[i]);
+        v = fmaxSel(v, lo.data[i]);
+        v = fminSel(v, hi.data[i]);
         out.data[i] = v;
     }
 }
@@ -296,8 +309,8 @@ clampConst(Mat out, const Mat &a, float lo, float hi)
     // Per-index read-then-write: exact under out==a aliasing too.
     for (int i = 0; i < n; ++i) {
         float v = a.data[i];
-        v = std::fmax(v, lo);
-        v = std::fmin(v, hi);
+        v = fmaxSel(v, lo);
+        v = fminSel(v, hi);
         out.data[i] = v;
     }
 }
@@ -309,11 +322,27 @@ absMaxDiff(const Mat &a, const Mat &b)
     const int n = a.size();
     const float *__restrict ap = a.data;
     const float *__restrict bp = b.data;
-    // Serial max chain in reference order (fmax is not freely
-    // reassociable in the presence of NaNs).
+    // The reference is the serial chain m = fmax(m, |a_i - b_i|) from
+    // m = +0. It skips NaN differences and every other term is >= +0,
+    // so it is the plain maximum of a NaN-free set of non-negative
+    // floats (ties are bit-equal: no -0 ever enters): any order gives
+    // its bits. Eight independent lanes let the compiler emit maxps.
+    constexpr int kLanes = 8;
+    float lane[kLanes] = {};
+    int i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        for (int k = 0; k < kLanes; ++k) {
+            const float d = std::fabs(ap[i + k] - bp[i + k]);
+            lane[k] = d > lane[k] ? d : lane[k]; // NaN keeps the lane
+        }
+    }
     float m = 0.0f;
-    for (int i = 0; i < n; ++i)
-        m = std::fmax(m, std::fabs(ap[i] - bp[i]));
+    for (; i < n; ++i) {
+        const float d = std::fabs(ap[i] - bp[i]);
+        m = d > m ? d : m;
+    }
+    for (float l : lane)
+        m = l > m ? l : m;
     return m;
 }
 

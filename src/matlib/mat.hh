@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/logging.hh"
 
@@ -63,6 +64,16 @@ struct Mat
         return data[i];
     }
 };
+
+/** True when the floats [p, p+n) and [q, q+m) do not overlap. */
+inline bool
+disjoint(const float *p, int n, const float *q, int m)
+{
+    auto pb = reinterpret_cast<uintptr_t>(p);
+    auto qb = reinterpret_cast<uintptr_t>(q);
+    return pb + static_cast<uintptr_t>(n) * sizeof(float) <= qb ||
+           qb + static_cast<uintptr_t>(m) * sizeof(float) <= pb;
+}
 
 /** Functional float32 kernels shared by all backends. */
 namespace ref {

@@ -1,6 +1,8 @@
 /**
  * @file
- * matlib tests: reference-kernel correctness, bit-exact functional
+ * matlib tests: reference-kernel correctness (fast paths bitwise
+ * equal to plain loops; clamp and residual selects bitwise equal to
+ * libm fmaxf/fminf on adversarial operands), bit-exact functional
  * equivalence across all four backends (the paper's invariant that
  * software mappings change timing, never semantics), and emission
  * properties (fusion removes loads/stores, static scheduling shrinks
@@ -8,7 +10,10 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +100,197 @@ TEST(Ref, AbsMaxDiff)
     float b_data[] = {1, 2, 2};
     Mat a(a_data, 1, 3), b(b_data, 1, 3);
     EXPECT_FLOAT_EQ(ref::absMaxDiff(a, b), 4.0f);
+}
+
+/**
+ * The plain reference loops the `__restrict` fast paths of ref::gemv,
+ * gemvT, saxpby and the fused gemvSaxpby must reproduce bit for bit:
+ * one serial accumulator per output in index order.
+ */
+namespace plain {
+
+void
+gemv(Mat y, const Mat &a, Mat x, float alpha, float beta)
+{
+    for (int i = 0; i < a.rows; ++i) {
+        float acc = 0.0f;
+        for (int j = 0; j < a.cols; ++j)
+            acc += a.at(i, j) * x[j];
+        y[i] = alpha * acc + beta * y[i];
+    }
+}
+
+void
+gemvT(Mat y, const Mat &a, Mat x, float alpha, float beta)
+{
+    for (int j = 0; j < a.cols; ++j) {
+        float acc = 0.0f;
+        for (int i = 0; i < a.rows; ++i)
+            acc += a.at(i, j) * x[i];
+        y[j] = alpha * acc + beta * y[j];
+    }
+}
+
+void
+saxpby(Mat out, float sa, const Mat &a, float sb, const Mat &b)
+{
+    for (int i = 0; i < out.size(); ++i)
+        out.data[i] = sa * a.data[i] + sb * b.data[i];
+}
+
+} // namespace plain
+
+TEST(Ref, FastPathsMatchPlainLoopsBitwise)
+{
+    Rng rng(17);
+    const std::pair<int, int> shapes[] = {{12, 12}, {4, 12}, {12, 4},
+                                          {1, 7},   {33, 5}, {120, 1}};
+    for (auto [m, n] : shapes) {
+        TestMat a(m, n, rng, 3.0f), x(1, n, rng), xt(1, m, rng),
+            b(1, m, rng), y0(1, m, rng), yt0(1, n, rng);
+        const float alpha = -0.75f, beta = 0.5f, sa = 1.25f, sb = -1.0f;
+
+        TestMat got = y0, want = y0;
+        ref::gemv(got.view(), a.view(), x.view(), alpha, beta);
+        plain::gemv(want.view(), a.view(), x.view(), alpha, beta);
+        EXPECT_EQ(got.data, want.data) << "gemv " << m << "x" << n;
+
+        TestMat got_t = yt0, want_t = yt0;
+        ref::gemvT(got_t.view(), a.view(), xt.view(), alpha, beta);
+        plain::gemvT(want_t.view(), a.view(), xt.view(), alpha, beta);
+        EXPECT_EQ(got_t.data, want_t.data) << "gemvT " << m << "x" << n;
+
+        // The fused pass against the historical two-call sequence.
+        got = y0;
+        want = y0;
+        ref::gemvSaxpby(got.view(), a.view(), x.view(), alpha, beta, sa,
+                        sb, b.view());
+        plain::gemv(want.view(), a.view(), x.view(), alpha, beta);
+        plain::saxpby(want.view(), sa, want.view(), sb, b.view());
+        EXPECT_EQ(got.data, want.data) << "gemvSaxpby " << m << "x" << n;
+
+        TestMat out_got = y0, out_want = y0;
+        ref::saxpby(out_got.view(), sa, b.view(), sb, y0.view());
+        plain::saxpby(out_want.view(), sa, b.view(), sb, y0.view());
+        EXPECT_EQ(out_got.data, out_want.data) << "saxpby " << m;
+    }
+}
+
+/**
+ * The inline clamp/residual selects against the C library's
+ * fmaxf/fminf on every pair of adversarial operands: signed zeros,
+ * ones, infinities, NaNs of both signs, denormals and FLT_MAX. The
+ * library is called through volatile pointers so the compiler cannot
+ * fold the calls with its own semantics.
+ */
+float (*volatile libFmax)(float, float) = ::fmaxf;
+float (*volatile libFmin)(float, float) = ::fminf;
+
+std::vector<float>
+adversarialFloats()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float den = std::numeric_limits<float>::denorm_min() * 3.0f;
+    const float big = std::numeric_limits<float>::max();
+    return {0.0f, -0.0f, 1.0f, -1.0f, inf, -inf,
+            nan,  -nan,  den,  -den,  big, -big};
+}
+
+bool
+sameBits(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(Ref, ClampsMatchLibmOnAdversarialOperands)
+{
+    const std::vector<float> v = adversarialFloats();
+    // Every (a, lo, hi) triple, laid out as vectors; odd lengths and
+    // offsets reach the tails of vectorized loops.
+    std::vector<float> a, lo, hi, want;
+    for (float x : v) {
+        for (float l : v) {
+            for (float h : v) {
+                a.push_back(x);
+                lo.push_back(l);
+                hi.push_back(h);
+                want.push_back(libFmin(libFmax(x, l), h));
+            }
+        }
+    }
+    const int total = static_cast<int>(a.size());
+    for (int off : {0, 1, 3}) {
+        const int n = total - off;
+        auto view = [&](std::vector<float> &buf) {
+            return Mat(buf.data() + off, 1, n);
+        };
+        std::vector<float> out(a.size(), 7.0f);
+        ref::clampVec(view(out), view(a), view(lo), view(hi));
+        std::vector<float> inplace = a;
+        ref::clampVec(view(inplace), view(inplace), view(lo), view(hi));
+        for (int i = off; i < total; ++i) {
+            EXPECT_TRUE(sameBits(out[i], want[i]))
+                << "clampVec a=" << a[i] << " lo=" << lo[i]
+                << " hi=" << hi[i] << " got " << out[i] << " want "
+                << want[i];
+            EXPECT_TRUE(sameBits(inplace[i], want[i]))
+                << "in-place clampVec a=" << a[i] << " lo=" << lo[i]
+                << " hi=" << hi[i];
+        }
+    }
+    // Scalar bounds: each (lo, hi) pair over the whole operand list.
+    for (float l : v) {
+        for (float h : v) {
+            std::vector<float> out(v.size()), inplace = v;
+            ref::clampConst(Mat(out.data(), 1, static_cast<int>(v.size())),
+                            Mat(const_cast<float *>(v.data()), 1,
+                                static_cast<int>(v.size())),
+                            l, h);
+            ref::clampConst(
+                Mat(inplace.data(), 1, static_cast<int>(v.size())),
+                Mat(inplace.data(), 1, static_cast<int>(v.size())), l, h);
+            for (size_t i = 0; i < v.size(); ++i) {
+                const float w = libFmin(libFmax(v[i], l), h);
+                EXPECT_TRUE(sameBits(out[i], w))
+                    << "clampConst a=" << v[i] << " lo=" << l
+                    << " hi=" << h;
+                EXPECT_TRUE(sameBits(inplace[i], w))
+                    << "in-place clampConst a=" << v[i] << " lo=" << l
+                    << " hi=" << h;
+            }
+        }
+    }
+}
+
+TEST(Ref, AbsMaxDiffMatchesLibmOnAdversarialOperands)
+{
+    const std::vector<float> v = adversarialFloats();
+    std::vector<float> a, b;
+    for (float x : v) {
+        for (float y : v) {
+            a.push_back(x);
+            b.push_back(y);
+        }
+    }
+    // The serial libm chain over every prefix and every single pair.
+    float want = 0.0f;
+    for (size_t n = 1; n <= a.size(); ++n) {
+        want = libFmax(want, std::fabs(a[n - 1] - b[n - 1]));
+        const float got = ref::absMaxDiff(
+            Mat(a.data(), 1, static_cast<int>(n)),
+            Mat(b.data(), 1, static_cast<int>(n)));
+        EXPECT_TRUE(sameBits(got, want)) << "prefix " << n;
+        const float one = ref::absMaxDiff(Mat(&a[n - 1], 1, 1),
+                                          Mat(&b[n - 1], 1, 1));
+        EXPECT_TRUE(sameBits(one, libFmax(0.0f,
+                                          std::fabs(a[n - 1] - b[n - 1]))))
+            << "a=" << a[n - 1] << " b=" << b[n - 1];
+    }
+    // Both operands one buffer (a residual of a vector with itself).
+    EXPECT_TRUE(sameBits(ref::absMaxDiff(Mat(a.data(), 1, 12),
+                                         Mat(a.data(), 1, 12)),
+                         0.0f));
 }
 
 TEST(Ref, RowScaleNeg)

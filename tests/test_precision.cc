@@ -1,18 +1,26 @@
 /**
  * @file
- * Numeric-format axis tests: fixed-point kernels stay within the
- * error bounds their Q-format schedules imply, saturation telemetry
- * fires on engineered overflow, the float32 path is bit-identical
- * whether the format is defaulted or set explicitly, narrow streams
- * survive schedule search and batched replay bit-exactly, formats
- * round-trip through the program codec / disk cache under distinct
- * keys, and the DSE format axis enumerates without disturbing the
- * single-format default.
+ * Numeric-format axis tests: the fx:: kernels match an element-wise
+ * oracle bit for bit (outputs and saturation counters, on grid edges,
+ * non-finite values, accumulator overflow and aliased operands),
+ * out-of-range shift schedules are rejected, fixed-point kernels stay
+ * within the error bounds their Q-format schedules imply, saturation
+ * telemetry fires on engineered overflow, the float32 path is
+ * bit-identical whether the format is defaulted or set explicitly,
+ * narrow streams survive schedule search and batched replay
+ * bit-exactly, formats round-trip through the program codec / disk
+ * cache under distinct keys, and the DSE format axis enumerates
+ * without disturbing the single-format default.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +220,533 @@ TEST(FxKernels, SaturationCountersFireOnEngineeredOverflow)
     fx::gemv(NumericFormat::I16, tight, c2, yp.view(),
              Mat(ap.data.data(), 1, 64), xp.view(), 1.0f, 0.0f);
     EXPECT_GT(c2.accSats, 0u);
+}
+
+// --- element-wise oracle of the fx:: kernels ---
+
+/*
+ * The historical element-wise fx:: kernels, kept as the oracle the
+ * format-specialized kernels must match bit for bit, saturation
+ * counters included: quantize every operand per use (the vector once
+ * per row), llround on the ldexp-scaled value, and one format branch
+ * per element. One deviation: shiftRoundSat is stated in exact 128-bit
+ * arithmetic, because its historical form overflowed (undefined
+ * behaviour) on a saturated int64 accumulator and on negative shifts.
+ */
+namespace oracle {
+
+int
+magnitudeBits(NumericFormat f)
+{
+    return f == NumericFormat::I16 ? 15 : 31;
+}
+
+int64_t
+quantizeSat(NumericFormat f, float v, int frac, uint64_t &sat_count)
+{
+    const int64_t lim = (int64_t{1} << magnitudeBits(f)) - 1;
+    double scaled = static_cast<double>(v) * std::ldexp(1.0, frac);
+    if (!std::isfinite(scaled)) {
+        ++sat_count;
+        return scaled > 0 ? lim : -lim - 1;
+    }
+    if (scaled >= static_cast<double>(lim)) {
+        if (scaled > static_cast<double>(lim))
+            ++sat_count;
+        return lim;
+    }
+    if (scaled <= static_cast<double>(-lim - 1)) {
+        if (scaled < static_cast<double>(-lim - 1))
+            ++sat_count;
+        return -lim - 1;
+    }
+    return std::llround(scaled);
+}
+
+float
+dequantize(int64_t q, int frac)
+{
+    return static_cast<float>(std::ldexp(static_cast<double>(q), -frac));
+}
+
+int64_t
+accAddSat(NumericFormat f, int64_t acc, int64_t prod, uint64_t &sat_count)
+{
+    if (f == NumericFormat::I16) {
+        const int64_t lim = INT32_MAX;
+        int64_t sum = acc + prod;
+        if (sum > lim) {
+            ++sat_count;
+            return lim;
+        }
+        if (sum < -lim - 1) {
+            ++sat_count;
+            return -lim - 1;
+        }
+        return sum;
+    }
+    int64_t sum;
+    if (__builtin_add_overflow(acc, prod, &sum)) {
+        ++sat_count;
+        return acc > 0 ? INT64_MAX : INT64_MIN;
+    }
+    return sum;
+}
+
+int64_t
+shiftRoundSat(NumericFormat f, int64_t acc, int shift, uint64_t &sat_count)
+{
+    __int128 v = acc;
+    if (shift > 0) {
+        const __int128 half = __int128{1} << (shift - 1);
+        v = v >= 0 ? (v + half) >> shift : -((-v + half) >> shift);
+    } else if (shift < 0) {
+        v *= __int128{1} << -shift; // |acc| <= 2^63, shift >= -30
+    }
+    const int64_t lim = (int64_t{1} << magnitudeBits(f)) - 1;
+    if (v > lim) {
+        ++sat_count;
+        return lim;
+    }
+    if (v < -lim - 1) {
+        ++sat_count;
+        return -lim - 1;
+    }
+    return static_cast<int64_t>(v);
+}
+
+float
+fxDot(NumericFormat f, const fx::KernelSpec &s, fx::Counters &c,
+      const Mat &a, int row, Mat x, bool transposed)
+{
+    const int n = x.cols;
+    int64_t acc = 0;
+    for (int j = 0; j < n; ++j) {
+        float av = transposed ? a.at(j, row) : a.at(row, j);
+        int64_t qa = quantizeSat(f, av, s.aFrac, c.quantSats);
+        int64_t qx = quantizeSat(f, x[j], s.xFrac, c.quantSats);
+        acc = accAddSat(f, acc, qa * qx, c.accSats);
+    }
+    int64_t q = shiftRoundSat(f, acc, s.aFrac + s.xFrac - s.outFrac,
+                              c.accSats);
+    return dequantize(q, s.outFrac);
+}
+
+float
+fxStore(NumericFormat f, const fx::KernelSpec &s, fx::Counters &c,
+        float v)
+{
+    return dequantize(quantizeSat(f, v, s.outFrac, c.quantSats),
+                      s.outFrac);
+}
+
+float
+bfDot(const Mat &a, int row, Mat x, bool transposed)
+{
+    const int n = x.cols;
+    float acc = 0.0f;
+    for (int j = 0; j < n; ++j) {
+        float av = transposed ? a.at(j, row) : a.at(row, j);
+        acc += fx::toBf16(av) * fx::toBf16(x[j]);
+    }
+    return acc;
+}
+
+void
+gemvAny(NumericFormat f, const fx::Scaling &sc, fx::Counters &c, Mat y,
+        const Mat &a, Mat x, float alpha, float beta, bool transposed)
+{
+    const fx::KernelSpec &s = transposed ? sc.gemvT : sc.gemv;
+    const int m = y.cols;
+    for (int i = 0; i < m; ++i) {
+        if (f == NumericFormat::BF16) {
+            float dot = bfDot(a, i, x, transposed);
+            y[i] = fx::toBf16(alpha * dot + beta * fx::toBf16(y[i]));
+        } else {
+            float dot = fxDot(f, s, c, a, i, x, transposed);
+            y[i] = fxStore(f, s, c, alpha * dot + beta * y[i]);
+        }
+    }
+}
+
+void
+saxpby(NumericFormat f, const fx::Scaling &s, fx::Counters &c, Mat out,
+       float sa, const Mat &a, float sb, const Mat &b)
+{
+    const int n = out.size();
+    Mat af(a.data, 1, n), bf(b.data, 1, n), of(out.data, 1, n);
+    for (int i = 0; i < n; ++i) {
+        if (f == NumericFormat::BF16) {
+            of[i] = fx::toBf16(sa * fx::toBf16(af[i]) +
+                               sb * fx::toBf16(bf[i]));
+        } else {
+            float av = dequantize(
+                quantizeSat(f, af[i], s.saxpby.aFrac, c.quantSats),
+                s.saxpby.aFrac);
+            float bv = dequantize(
+                quantizeSat(f, bf[i], s.saxpby.xFrac, c.quantSats),
+                s.saxpby.xFrac);
+            of[i] = fxStore(f, s.saxpby, c, sa * av + sb * bv);
+        }
+    }
+}
+
+} // namespace oracle
+
+enum class FxOp { Gemv, GemvT, Saxpby, GemvSaxpby };
+
+/**
+ * Operands of one kernel call as offsets into one shared buffer, so a
+ * case can make any of them alias. For Saxpby, out/a/b are
+ * aCols-long vectors at yOff/aOff/bOff.
+ */
+struct FxCall
+{
+    FxOp op = FxOp::Gemv;
+    int yOff = 0, aOff = 0, aRows = 0, aCols = 0, xOff = 0, bOff = 0;
+    float alpha = 1.0f, beta = 0.0f, sa = 1.0f, sb = 1.0f;
+};
+
+/** Same float bits, or both NaN (NaN payloads of a product of two
+ *  NaNs depend on the operand order the compiler picks). */
+bool
+sameFloats(const std::vector<float> &p, const std::vector<float> &q)
+{
+    if (p.size() != q.size())
+        return false;
+    for (size_t i = 0; i < p.size(); ++i) {
+        if (std::memcmp(&p[i], &q[i], sizeof(float)) != 0 &&
+            !(std::isnan(p[i]) && std::isnan(q[i]))) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Run @p call through fx:: and the oracle on copies of @p buf. */
+void
+expectMatchesOracle(NumericFormat f, const fx::Scaling &s,
+                    const FxCall &call, const std::vector<float> &buf,
+                    const std::string &what)
+{
+    std::vector<float> got = buf, want = buf;
+    fx::Counters cg, cw;
+    const int m = call.aRows, n = call.aCols;
+    auto vec = [](std::vector<float> &v, int off, int len) {
+        return Mat(v.data() + off, 1, len);
+    };
+    auto mat = [&](std::vector<float> &v) {
+        return Mat(v.data() + call.aOff, m, n);
+    };
+    switch (call.op) {
+      case FxOp::Gemv:
+        fx::gemv(f, s, cg, vec(got, call.yOff, m), mat(got),
+                 vec(got, call.xOff, n), call.alpha, call.beta);
+        oracle::gemvAny(f, s, cw, vec(want, call.yOff, m), mat(want),
+                        vec(want, call.xOff, n), call.alpha, call.beta,
+                        false);
+        break;
+      case FxOp::GemvT:
+        fx::gemvT(f, s, cg, vec(got, call.yOff, n), mat(got),
+                  vec(got, call.xOff, m), call.alpha, call.beta);
+        oracle::gemvAny(f, s, cw, vec(want, call.yOff, n), mat(want),
+                        vec(want, call.xOff, m), call.alpha, call.beta,
+                        true);
+        break;
+      case FxOp::Saxpby:
+        fx::saxpby(f, s, cg, vec(got, call.yOff, n), call.sa,
+                   vec(got, call.aOff, n), call.sb, vec(got, call.bOff, n));
+        oracle::saxpby(f, s, cw, vec(want, call.yOff, n), call.sa,
+                       vec(want, call.aOff, n), call.sb,
+                       vec(want, call.bOff, n));
+        break;
+      case FxOp::GemvSaxpby:
+        fx::gemvSaxpby(f, s, cg, vec(got, call.yOff, m), mat(got),
+                       vec(got, call.xOff, n), call.alpha, call.beta,
+                       call.sa, call.sb, vec(got, call.bOff, m));
+        oracle::gemvAny(f, s, cw, vec(want, call.yOff, m), mat(want),
+                        vec(want, call.xOff, n), call.alpha, call.beta,
+                        false);
+        oracle::saxpby(f, s, cw, vec(want, call.yOff, m), call.sa,
+                       vec(want, call.yOff, m), call.sb,
+                       vec(want, call.bOff, m));
+        break;
+    }
+    const std::string tag =
+        std::string(matlib::formatName(f)) + " " + what;
+    EXPECT_TRUE(sameFloats(got, want)) << tag;
+    EXPECT_EQ(cg.quantSats, cw.quantSats) << tag;
+    EXPECT_EQ(cg.accSats, cw.accSats) << tag;
+}
+
+const NumericFormat kNarrow[] = {NumericFormat::BF16, NumericFormat::I32,
+                                 NumericFormat::I16};
+
+/**
+ * Values at the edges of the grids of @p s: half points (k + 0.5
+ * after scaling) around zero and near the range limit, the limit and
+ * just past it on both sides, infinities, NaNs, signed zeros and a
+ * denormal.
+ */
+std::vector<float>
+edgeValues(NumericFormat f, const fx::Scaling &s)
+{
+    const double lim =
+        std::ldexp(1.0, oracle::magnitudeBits(f)) - 1.0;
+    std::vector<float> v = {
+        0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::denorm_min(), 1.0f, -1.0f};
+    for (const fx::KernelSpec *k : {&s.gemv, &s.gemvT, &s.saxpby}) {
+        for (int frac : {k->aFrac, k->xFrac, k->outFrac}) {
+            const double lsb = std::ldexp(1.0, -frac);
+            for (double h : {0.5, 1.5, 2.5, 7.5, lim - 0.5, lim - 1.5}) {
+                v.push_back(static_cast<float>(h * lsb));
+                v.push_back(static_cast<float>(-h * lsb));
+            }
+            for (double q : {lim, lim + 1.0, lim + 2.0}) {
+                v.push_back(static_cast<float>(q * lsb));
+                v.push_back(static_cast<float>(-q * lsb));
+            }
+            const float top = static_cast<float>(lim * lsb);
+            v.push_back(std::nextafter(top, 0.0f));
+            v.push_back(std::nextafter(top, INFINITY));
+            v.push_back(-std::nextafter(top, INFINITY));
+        }
+    }
+    return v;
+}
+
+/** Random values of magnitude up to @p range, one in @p edge_every
+ *  drawn from @p edges instead (0: none). */
+std::vector<float>
+fillValues(Rng &rng, size_t n, double range,
+           const std::vector<float> &edges, int edge_every)
+{
+    std::vector<float> v(n);
+    for (float &x : v) {
+        if (edge_every > 0 && rng.uniformInt(edge_every) == 0)
+            x = edges[rng.uniformInt(edges.size())];
+        else
+            x = static_cast<float>(rng.uniform(-range, range));
+    }
+    return v;
+}
+
+/** Every kernel on disjoint operands of one buffer, shape m x n. */
+void
+expectAllKernelsMatch(NumericFormat f, const fx::Scaling &s,
+                      const std::vector<float> &buf, int m, int n,
+                      Rng &rng, const std::string &what)
+{
+    // Layout: A (m*n), then x, y, b slots of max(m, n) each.
+    const int w = std::max(m, n);
+    const int a_off = 0, x_off = m * n, y_off = x_off + w,
+              b_off = y_off + w;
+    ASSERT_GE(buf.size(), static_cast<size_t>(b_off + w));
+    const float alpha = static_cast<float>(rng.uniform(-1.5, 1.5));
+    const float beta = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const float sa = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const float sb = static_cast<float>(rng.uniform(-1.0, 1.0));
+    expectMatchesOracle(f, s,
+                        {FxOp::Gemv, y_off, a_off, m, n, x_off, b_off,
+                         alpha, beta, sa, sb},
+                        buf, what + " gemv");
+    expectMatchesOracle(f, s,
+                        {FxOp::GemvT, y_off, a_off, m, n, x_off, b_off,
+                         alpha, beta, sa, sb},
+                        buf, what + " gemvT");
+    expectMatchesOracle(f, s,
+                        {FxOp::Saxpby, y_off, x_off, 1, w, 0, b_off,
+                         alpha, beta, sa, sb},
+                        buf, what + " saxpby");
+    expectMatchesOracle(f, s,
+                        {FxOp::GemvSaxpby, y_off, a_off, m, n, x_off,
+                         b_off, alpha, beta, sa, sb},
+                        buf, what + " gemvSaxpby");
+}
+
+TEST(FxOracle, SeededRandomOperandsMatchBitwise)
+{
+    Rng rng(2024);
+    for (NumericFormat f : kNarrow) {
+        const std::pair<int, int> shapes[] = {{12, 12}, {4, 12}, {12, 4},
+                                              {1, 1},   {5, 70}, {70, 3}};
+        for (auto [m, n] : shapes) {
+            for (double range : {0.5, 2.0, 40.0}) {
+                fx::Scaling s = fx::Scaling::forRanges(
+                    f, 1.0, 1.0, static_cast<double>(std::max(m, n)));
+                const int w = std::max(m, n);
+                std::vector<float> buf = fillValues(
+                    rng, static_cast<size_t>(m) * n + 3 * w, range, {}, 0);
+                expectAllKernelsMatch(
+                    f, s, buf, m, n, rng,
+                    std::to_string(m) + "x" + std::to_string(n) +
+                        " range " + std::to_string(range));
+            }
+        }
+    }
+}
+
+TEST(FxOracle, GridEdgesAndNonFiniteValuesMatchBitwise)
+{
+    Rng rng(99);
+    for (NumericFormat f : kNarrow) {
+        std::vector<fx::Scaling> scalings = {
+            fx::Scaling::forRanges(f, 1.0, 1.0, 12.0),
+            fx::Scaling::forRanges(f, 0.01, 100.0, 1e3)};
+        if (f != NumericFormat::BF16) {
+            // Negative shift schedules: outFrac > aFrac + xFrac.
+            const int top = oracle::magnitudeBits(f) - 1;
+            fx::Scaling neg;
+            neg.gemv = {1, 2, top};
+            neg.gemvT = {0, 0, top};
+            neg.saxpby = {0, top, 3};
+            scalings.push_back(neg);
+        }
+        for (size_t k = 0; k < scalings.size(); ++k) {
+            const std::vector<float> edges = edgeValues(f, scalings[k]);
+            for (int rep = 0; rep < 20; ++rep) {
+                const int m = 1 + static_cast<int>(rng.uniformInt(13));
+                const int n = 1 + static_cast<int>(rng.uniformInt(13));
+                std::vector<float> buf =
+                    fillValues(rng, static_cast<size_t>(m) * n + 3 * 13,
+                               4.0, edges, 2);
+                expectAllKernelsMatch(f, scalings[k], buf, m, n, rng,
+                                      "edges scaling " +
+                                          std::to_string(k) + " rep " +
+                                          std::to_string(rep));
+            }
+        }
+    }
+}
+
+TEST(FxOracle, AccumulatorOverflowSaturatesLikeOracle)
+{
+    for (NumericFormat f : {NumericFormat::I16, NumericFormat::I32}) {
+        // Operands near the top of a unit-range grid: every product is
+        // ~2^30 (i16, int32 accumulator) or ~2^62 (i32, int64), so a
+        // few same-sign terms overflow the accumulator. Four positive
+        // products, then eight negative ones: the sum saturates high,
+        // comes back down and saturates low.
+        fx::Scaling s = fx::Scaling::forRanges(f, 1.0, 1.0, 1.0);
+        const int n = 12;
+        std::vector<float> buf(static_cast<size_t>(n) * n + 3 * n, 0.0f);
+        for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < n; ++j)
+                buf[static_cast<size_t>(i) * n + j] = j < 4 ? 1.99f : -1.99f;
+            buf[static_cast<size_t>(n) * n + i] = 1.99f; // x
+        }
+        fx::Counters probe;
+        fx::gemv(f, s, probe, Mat(buf.data() + n * n + n, 1, n),
+                 Mat(buf.data(), n, n), Mat(buf.data() + n * n, 1, n),
+                 1.0f, 0.0f);
+        EXPECT_GT(probe.accSats, 0u) << matlib::formatName(f);
+        Rng rng(1);
+        expectAllKernelsMatch(f, s, buf, n, n, rng, "accumulator overflow");
+    }
+}
+
+TEST(FxOracle, AliasedOperandsKeepInOrderSemantics)
+{
+    Rng rng(31);
+    for (NumericFormat f : kNarrow) {
+        fx::Scaling s = fx::Scaling::forRanges(f, 1.0, 1.0, 12.0);
+        const int n = 12;
+        // A at 0, then a vector region of 3n that the views share.
+        std::vector<float> buf = fillValues(
+            rng, static_cast<size_t>(n) * n + 3 * n, 1.5, {}, 0);
+        const int v0 = n * n;
+        auto check = [&](FxCall call, const std::string &what) {
+            call.alpha = 0.75f;
+            call.beta = -0.5f;
+            call.sa = 0.5f;
+            call.sb = -1.25f;
+            expectMatchesOracle(f, s, call, buf, what);
+        };
+        // saxpby in place and over shifted views of one buffer.
+        check({FxOp::Saxpby, v0, v0, 1, n, 0, v0 + n}, "saxpby out==a");
+        check({FxOp::Saxpby, v0 + n, v0, 1, n, 0, v0 + n}, "saxpby out==b");
+        check({FxOp::Saxpby, v0, v0 + 1, 1, n, 0, v0 + 3}, "saxpby out<a");
+        check({FxOp::Saxpby, v0 + 2, v0, 1, n, 0, v0 + 1}, "saxpby out>a");
+        for (FxOp op : {FxOp::Gemv, FxOp::GemvT, FxOp::GemvSaxpby}) {
+            const std::string name = op == FxOp::Gemv    ? "gemv"
+                                     : op == FxOp::GemvT ? "gemvT"
+                                                         : "gemvSaxpby";
+            // Rows of one buffer: y, x and b side by side.
+            check({op, v0, 0, n, n, v0 + n, v0 + 2 * n}, name + " rows");
+            // y is x: later rows read the rows already written.
+            check({op, v0, 0, n, n, v0, v0 + 2 * n}, name + " y==x");
+            check({op, v0 + 3, 0, n, n, v0, v0 + 2 * n}, name + " y>x");
+            check({op, v0, 0, n, n, v0 + 5, v0 + 2 * n}, name + " y<x");
+            // y overlaps A, and b overlaps y.
+            check({op, n * 2, 0, n, n, v0, v0 + 2 * n}, name + " y in A");
+            check({op, v0, 0, n, n, v0 + n, v0 + 4}, name + " b in y");
+        }
+    }
+}
+
+TEST(FxKernels, NegativeShiftSaturatesInsteadOfOverflowing)
+{
+    // outFrac > aFrac + xFrac: the accumulator shifts left. Small
+    // values shift exactly, negative ones included; a product that
+    // leaves int64 saturates with its sign.
+    fx::Scaling s;
+    s.gemv = {0, 0, 30}; // shift -30 on the i32 datapath
+    auto run = [&](float a, float x, fx::Counters &c) {
+        float y = 0.0f;
+        fx::gemv(NumericFormat::I32, s, c, Mat(&y, 1, 1), Mat(&a, 1, 1),
+                 Mat(&x, 1, 1), 1.0f, 0.0f);
+        return y;
+    };
+    fx::Counters c;
+    EXPECT_EQ(run(1.0f, 1.0f, c), 1.0f);
+    EXPECT_EQ(run(-1.0f, 1.0f, c), -1.0f);
+    EXPECT_EQ(c.quantSats + c.accSats, 0u);
+
+    // 2^20 * 2^20 = 2^40, times 2^30 is past int64.
+    const float big = std::ldexp(1.0f, 20);
+    fx::Counters hi;
+    EXPECT_EQ(run(big, big, hi), 2.0f); // (2^31 - 1) / 2^30 as float
+    EXPECT_EQ(hi.accSats, 1u);
+    fx::Counters lo;
+    EXPECT_EQ(run(-big, big, lo), -2.0f);
+    EXPECT_EQ(lo.accSats, 1u);
+
+    // The i16 datapath: shift -14 of an int32 accumulator.
+    fx::Scaling s16;
+    s16.gemv = {0, 0, 14};
+    float y = 0.0f, a = -3.0f, x = 1.0f;
+    fx::Counters c16;
+    fx::gemv(NumericFormat::I16, s16, c16, Mat(&y, 1, 1), Mat(&a, 1, 1),
+             Mat(&x, 1, 1), 1.0f, 0.0f);
+    EXPECT_EQ(y, -2.0f); // -3 * 2^14 clamps to -2^15
+    EXPECT_EQ(c16.accSats, 1u);
+}
+
+TEST(FxKernels, SetFixedScalingRejectsOutOfRangeFractions)
+{
+    matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
+    backend.setFormat(NumericFormat::I16);
+    fx::Scaling ok = fx::Scaling::forRanges(NumericFormat::I16, 1.0, 1.0,
+                                            12.0);
+    backend.setFixedScaling(ok);
+    fx::Scaling edge;
+    edge.gemv = {0, 14, 14};
+    backend.setFixedScaling(edge);
+
+    fx::Scaling wide = ok;
+    wide.gemvT.outFrac = 15; // i16 holds at most 14 fraction bits
+    EXPECT_EXIT(backend.setFixedScaling(wide),
+                ::testing::ExitedWithCode(1), "fraction bits");
+    fx::Scaling negative = ok;
+    negative.saxpby.aFrac = -1;
+    EXPECT_EXIT(backend.setFixedScaling(negative),
+                ::testing::ExitedWithCode(1), "fraction bits");
+    backend.setFormat(NumericFormat::I32);
+    backend.setFixedScaling(wide); // 15 is fine on 32 bits
 }
 
 // --- float32 byte-identity ---
