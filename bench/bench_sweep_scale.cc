@@ -319,8 +319,9 @@ main(int argc, char **argv)
     bt.print();
 
     // ---------- 2. functional ADMM solve per format ----------
-    // The per-tick HIL hot path: no emission attached, so only the
-    // functional kernels run.
+    // The per-tick HIL hot path: no emission attached, so f32 runs
+    // the fixed-shape column-form solve and the narrow formats the
+    // fx:: kernels through the backend.
     const matlib::NumericFormat formats[] = {
         matlib::NumericFormat::F32, matlib::NumericFormat::BF16,
         matlib::NumericFormat::I32, matlib::NumericFormat::I16};

@@ -125,22 +125,21 @@ class Backend
 
     /**
      * Fused gemv→saxpby pair (y = sa·(alpha·A x + beta·y) + sb·b),
-     * the shape of the solver's forward/backward passes. While
-     * emitting, this is EXACTLY the historical two-call sequence —
-     * the micro-op stream (and every cache key derived from it) is
-     * unchanged. On the non-emitting per-tick hot path it runs the
-     * one-pass fused reference kernel, which is bit-identical to the
-     * pair (see ref::gemvSaxpby).
+     * the shape of the solver's forward/backward passes. At f32, and
+     * whenever emitting, this is EXACTLY the historical two-call
+     * sequence — the micro-op stream (and every cache key derived
+     * from it) is unchanged; the non-emitting f32 solve never gets
+     * here (it runs ref::gemvSaxpbyCol). Narrow formats off the
+     * emission path run the one-pass fx:: kernel, bit-identical to
+     * the pair.
      */
     void
     gemvSaxpby(Mat y, const Mat &a, Mat x, float alpha, float beta,
                float sa, float sb, const Mat &b)
     {
-        if (emitting()) {
+        if (emitting() || fmt_ == NumericFormat::F32) {
             gemv(y, a, x, alpha, beta);
             saxpby(y, sa, y, sb, b);
-        } else if (fmt_ == NumericFormat::F32) {
-            ref::gemvSaxpby(y, a, x, alpha, beta, sa, sb, b);
         } else {
             fx::gemvSaxpby(fmt_, scaling_, fxCounters_, y, a, x, alpha,
                            beta, sa, sb, b);

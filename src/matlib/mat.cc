@@ -3,52 +3,30 @@
 namespace rtoc::matlib::ref {
 
 /*
- * Hot-path structure shared by the kernels below: every per-tick ADMM
- * solve funnels through these float32 loops, so each kernel has a
- * `__restrict` unit-stride fast path taken when the operand ranges
- * are provably disjoint. The fast paths keep the reference loop
- * structure and accumulation order EXACTLY — sums stay one serial
- * chain, elementwise bodies stay per-index — so results are
- * bit-identical to the reference loops (pinned bitwise in
- * test_matlib and by the golden figure outputs). What `restrict` buys is the compiler's cross-output
- * vectorization (independent output chains of gemv/gemvT packed into
- * SIMD lanes — legal without reassociating any single chain) and the
- * removal of runtime alias-versioning checks in the elementwise
- * kernels. A hand-unrolled 4-wide variant was tried and LOST to this
- * form: manual unrolling of the reduction dimension blocks exactly
- * that cross-output vectorization. Aliased calls (e.g.
- * saxpby(u, 1, u, -1, d)) fall back to the reference loop, whose
- * in-order semantics they rely on.
+ * These kernels compute the values of every emitting Backend call
+ * (the non-emitting f32 solve runs the column-form templates of
+ * mat.hh instead), so each has a `__restrict` unit-stride fast path
+ * taken when the operand ranges are provably disjoint. The fast
+ * paths keep the reference loop structure and accumulation order
+ * EXACTLY — sums stay one serial chain, elementwise bodies stay
+ * per-index — so results are bit-identical to the reference loops
+ * (pinned bitwise in test_matlib and by the golden figure outputs).
+ * What `restrict` buys is the compiler's cross-output vectorization
+ * (independent output chains of gemv/gemvT packed into SIMD lanes — legal
+ * without reassociating any single chain) and the removal of runtime
+ * alias-versioning checks in the elementwise kernels. A
+ * hand-unrolled 4-wide variant was tried and LOST to this form:
+ * manual unrolling of the reduction dimension blocks exactly that
+ * cross-output vectorization. Aliased calls (e.g. saxpby(u, 1, u,
+ * -1, d)) fall back to the reference loop, whose in-order semantics
+ * they rely on.
  *
  * The clamps and the residual reduction use inline selects with
- * glibc's exact results instead of std::fmax/std::fmin, which compile
- * to libm calls (pinned against the library on adversarial operands
- * in test_matlib). absMaxDiff's maximum is order-free, so it runs on
- * independent lanes.
+ * glibc's exact results (fmaxSel/fminSel in mat.hh) instead of
+ * std::fmax/std::fmin, which compile to libm calls (pinned against
+ * the library on adversarial operands in test_matlib). absMaxDiff's
+ * maximum is order-free, so it runs on independent lanes.
  */
-
-namespace {
-
-/**
- * glibc's fmaxf/fminf as inline selects. On x86-64 glibc is
- * maxss/minss plus a NaN fix-up: a NaN operand yields the other
- * operand (the first when both are NaN), and a tie, which includes
- * +0 against -0, yields the second operand. Signalling NaNs, which
- * glibc quiets instead, are not produced by the solver's arithmetic.
- */
-inline float
-fmaxSel(float x, float y)
-{
-    return x > y || std::isnan(y) ? x : y;
-}
-
-inline float
-fminSel(float x, float y)
-{
-    return x < y || std::isnan(y) ? x : y;
-}
-
-} // namespace
 
 void
 gemv(Mat y, const Mat &a, Mat x, float alpha, float beta)
@@ -107,41 +85,6 @@ gemvT(Mat y, const Mat &a, Mat x, float alpha, float beta)
             acc += a.at(i, j) * x[i];
         y[j] = alpha * acc + beta * y[j];
     }
-}
-
-void
-gemvSaxpby(Mat y, const Mat &a, Mat x, float alpha, float beta, float sa,
-           float sb, const Mat &b)
-{
-    rtoc_assert(y.isVec() && x.isVec() && b.isVec());
-    rtoc_assert(a.rows == y.cols && a.cols == x.cols);
-    rtoc_assert(b.cols == y.cols);
-    const int m = a.rows;
-    const int n = a.cols;
-    if (disjoint(y.data, m, a.data, m * n) &&
-        disjoint(y.data, m, x.data, n) &&
-        disjoint(y.data, m, b.data, m) &&
-        disjoint(b.data, m, a.data, m * n) &&
-        disjoint(b.data, m, x.data, n)) {
-        // One pass over the rows: the gemv result never round-trips
-        // through memory before the saxpby consumes it. Per-element
-        // op sequence matches the two-call reference exactly.
-        const float *__restrict ap = a.data;
-        const float *__restrict xp = x.data;
-        const float *__restrict bp = b.data;
-        float *__restrict yp = y.data;
-        for (int i = 0; i < m; ++i) {
-            float acc = 0.0f;
-            for (int j = 0; j < n; ++j)
-                acc += ap[static_cast<size_t>(i) * n + j] * xp[j];
-            float t = alpha * acc + beta * yp[i];
-            yp[i] = sa * t + sb * bp[i];
-        }
-        return;
-    }
-    // Aliased operands: the exact two-call sequence.
-    gemv(y, a, x, alpha, beta);
-    saxpby(y, sa, y, sb, b);
 }
 
 void

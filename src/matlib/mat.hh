@@ -10,11 +10,27 @@
  * and differs only in the micro-op stream it emits, so software-
  * mapping optimizations can never change solver semantics (a property
  * the test suite checks bit-exactly).
+ *
+ * Two paths compute the f32 values of a TinyMPC solve. While a
+ * backend emits, each Backend operation calls the out-of-line ref::
+ * kernel (gemv, saxpby, clampVec, ...). The non-emitting closed-loop
+ * solve (tinympc::Solver::solve) instead runs the column-form
+ * templates below, over transposed operands and at compile-time
+ * shapes, with no virtual dispatch. The column form is exact, not an
+ * approximation: each output keeps its own accumulator, initialized
+ * to 0.0f and advanced by one serial `+=` chain in ascending column
+ * order, then combined as alpha·acc + beta·y (and sa·t + sb·b), the
+ * very op sequence of ref::gemv. Only the *interleaving* of
+ * independent outputs changes, which is what lets the compiler put
+ * output rows in SIMD lanes. No chain is reassociated, so the two
+ * paths agree bit for bit (pinned in test_matlib and test_tinympc).
+ * Contraction into FMAs would break this; the build disables it.
  */
 
 #ifndef RTOC_MATLIB_MAT_HH
 #define RTOC_MATLIB_MAT_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -84,17 +100,6 @@ void gemv(Mat y, const Mat &a, Mat x, float alpha, float beta);
 /** y = alpha * Aᵀ x + beta * y; A is m x n, x len m, y len n. */
 void gemvT(Mat y, const Mat &a, Mat x, float alpha, float beta);
 
-/**
- * Fused forward/backward-pass pair: y = sa·(alpha·A x + beta·y) +
- * sb·b in one pass over the rows. Bit-identical to gemv(y, a, x,
- * alpha, beta) followed by saxpby(y, sa, y, sb, b) — the per-element
- * operation sequence is unchanged, only the memory round trip of the
- * intermediate y is removed. Falls back to the exact two-call
- * sequence when operands alias.
- */
-void gemvSaxpby(Mat y, const Mat &a, Mat x, float alpha, float beta,
-                float sa, float sb, const Mat &b);
-
 /** C = A B. */
 void gemm(Mat c, const Mat &a, const Mat &b);
 
@@ -127,6 +132,94 @@ void copy(Mat out, const Mat &a);
 
 /** out = s everywhere. */
 void fill(Mat out, float s);
+
+/**
+ * glibc's fmaxf/fminf as inline selects. On x86-64 glibc is
+ * maxss/minss plus a NaN fix-up: a NaN operand yields the other
+ * operand (the first when both are NaN), and a tie, which includes
+ * +0 against -0, yields the second operand. Signalling NaNs, which
+ * glibc quiets instead, are not produced by the solver's arithmetic.
+ */
+inline float
+fmaxSel(float x, float y)
+{
+    return x > y || std::isnan(y) ? x : y;
+}
+
+inline float
+fminSel(float x, float y)
+{
+    return x < y || std::isnan(y) ? x : y;
+}
+
+/**
+ * Column-form accumulation shared by gemvCol and gemvSaxpbyCol: for
+ * each output i < m, acc = 0.0f then acc += at[j·m + i]·x[j] for j
+ * ascending, handed to @p out(i, acc). @p at is Aᵀ (n x m, row j =
+ * column j of A). A positive M or N fixes that dimension at compile
+ * time (the argument must equal it); 0 reads it at run time, with
+ * the outputs taken in register-sized chunks.
+ */
+template <int M, int N, typename Out>
+inline void
+gemvColChunks(const float *__restrict at, const float *__restrict x,
+              int m, int n, Out &&out)
+{
+    rtoc_assert((M == 0 || m == M) && (N == 0 || n == N));
+    if constexpr (M > 0)
+        m = M;
+    if constexpr (N > 0)
+        n = N;
+    constexpr int kChunk = M > 0 ? M : 16;
+    for (int i0 = 0; i0 < m; i0 += kChunk) {
+        const int w = M > 0 ? M : std::min(kChunk, m - i0);
+        float acc[kChunk];
+        for (int i = 0; i < w; ++i)
+            acc[i] = 0.0f;
+        for (int j = 0; j < n; ++j) {
+            const float xj = x[j];
+            const float *__restrict col =
+                at + static_cast<size_t>(j) * m + i0;
+            for (int i = 0; i < w; ++i)
+                acc[i] += col[i] * xj;
+        }
+        for (int i = 0; i < w; ++i)
+            out(i0 + i, acc[i]);
+    }
+}
+
+/**
+ * y = alpha·A x + beta·y from @p at = Aᵀ (n x m); bit-identical to
+ * ref::gemv(y, A, x, alpha, beta). Operands must not overlap.
+ */
+template <int M, int N>
+inline void
+gemvCol(float *__restrict y, const float *__restrict at,
+        const float *__restrict x, float alpha, float beta, int m, int n)
+{
+    gemvColChunks<M, N>(at, x, m, n, [&](int i, float acc) {
+        y[i] = alpha * acc + beta * y[i];
+    });
+}
+
+/**
+ * y = sa·(alpha·A x + beta·y) + sb·b from @p at = Aᵀ (n x m):
+ * bit-identical to ref::gemv(y, A, x, alpha, beta) followed by
+ * ref::saxpby(y, sa, y, sb, b), without the round trip of the
+ * intermediate y. Operands must not overlap.
+ */
+template <int M, int N>
+inline void
+gemvSaxpbyCol(float *__restrict y, const float *__restrict at,
+              const float *__restrict x, float alpha, float beta,
+              float sa, float sb, const float *__restrict b, int m,
+              int n)
+{
+    gemvColChunks<M, N>(at, x, m, n, [&](int i, float acc) {
+        const float t = alpha * acc + beta * y[i];
+        y[i] = sa * t + sb * b[i];
+    });
+}
 
 } // namespace ref
 

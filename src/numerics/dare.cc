@@ -1,8 +1,53 @@
 #include "dare.hh"
 
+#include <mutex>
+#include <string>
+
 #include "common/logging.hh"
+#include "common/lru_cache.hh"
 
 namespace rtoc::numerics {
+
+namespace {
+
+/** Distinct trim problems a process solves: plants x weightings. */
+constexpr size_t kDareMemoCap = 64;
+
+struct DareMemo
+{
+    std::mutex mu;
+    LruMap<std::string, LqrCache> map{kDareMemoCap}; ///< guarded by mu
+    DareMemoStats stats;                             ///< guarded by mu
+};
+
+DareMemo &
+dareMemo()
+{
+    static DareMemo memo;
+    return memo;
+}
+
+/** Exact bytes of every input, shapes included. */
+std::string
+dareKey(const DMatrix &a, const DMatrix &b, const DMatrix &q,
+        const DMatrix &r, double rho, double tol, int max_iters)
+{
+    std::string key;
+    auto put = [&key](const void *p, size_t n) {
+        key.append(static_cast<const char *>(p), n);
+    };
+    for (const DMatrix *m : {&a, &b, &q, &r}) {
+        const int dims[2] = {m->rows(), m->cols()};
+        put(dims, sizeof(dims));
+        put(m->data(), m->size() * sizeof(double));
+    }
+    put(&rho, sizeof(rho));
+    put(&tol, sizeof(tol));
+    put(&max_iters, sizeof(max_iters));
+    return key;
+}
+
+} // namespace
 
 std::optional<LqrCache>
 trySolveDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
@@ -71,13 +116,35 @@ LqrCache
 solveDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
           const DMatrix &r, double rho, double tol, int max_iters)
 {
+    const std::string key = dareKey(a, b, q, r, rho, tol, max_iters);
+    DareMemo &memo = dareMemo();
+    {
+        std::lock_guard<std::mutex> lock(memo.mu);
+        if (const LqrCache *hit = memo.map.get(key)) {
+            ++memo.stats.hits;
+            return *hit;
+        }
+        ++memo.stats.misses;
+    }
+    // Solved outside the lock: two threads missing on one key both
+    // solve it, deterministically, and store equal values.
     std::optional<LqrCache> cache =
         trySolveDare(a, b, q, r, rho, nullptr, tol, max_iters);
     if (!cache) {
         rtoc_fatal("solveDare: no convergence after %d iterations",
                    max_iters);
     }
+    std::lock_guard<std::mutex> lock(memo.mu);
+    memo.map.put(key, *cache);
     return *cache;
+}
+
+DareMemoStats
+dareMemoStats()
+{
+    DareMemo &memo = dareMemo();
+    std::lock_guard<std::mutex> lock(memo.mu);
+    return memo.stats;
 }
 
 } // namespace rtoc::numerics

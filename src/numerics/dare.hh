@@ -10,6 +10,7 @@
 #ifndef RTOC_NUMERICS_DARE_HH
 #define RTOC_NUMERICS_DARE_HH
 
+#include <cstdint>
 #include <optional>
 
 #include "numerics/dmatrix.hh"
@@ -31,6 +32,12 @@ struct LqrCache
  * Iterate P ← Q + Aᵀ P A − Aᵀ P B (R + Bᵀ P B)⁻¹ Bᵀ P A to a fixed
  * point and derive the TinyMPC cache terms.
  *
+ * Memoized: every ControlSession construction re-solves its plant's
+ * trim DARE, so results are kept in a small process-wide LRU map
+ * keyed by the exact bytes of (a, b, q, r, rho, tol, max_iters) and
+ * returned as copies, bit-identical to a fresh solve (iterations
+ * included). Thread-safe.
+ *
  * The ADMM penalty rho is folded into the cost exactly as TinyMPC
  * does: Q ← Q + rho·I, R ← R + rho·I, because the solver's backward
  * pass uses the rho-augmented cost.
@@ -47,14 +54,22 @@ LqrCache solveDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
                    const DMatrix &r, double rho, double tol = 1e-10,
                    int max_iters = 10000);
 
+/** Hit/miss counts of the solveDare memo since process start. */
+struct DareMemoStats
+{
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+};
+DareMemoStats dareMemoStats();
+
 /**
- * Non-fatal solveDare with an optional warm start: seed the fixed-
- * point iteration from @p p_warm (the Pinf of a nearby model) instead
- * of the rho-augmented Q. Incremental relinearization refreshes call
- * this with the previous cache's Pinf, converging in a handful of
- * iterations when (A, B) moved a little; a diverging off-trim model
- * returns nullopt instead of aborting the process, letting the caller
- * keep the stale cache.
+ * Non-fatal, unmemoized solveDare with an optional warm start: seed
+ * the fixed-point iteration from @p p_warm (the Pinf of a nearby
+ * model) instead of the rho-augmented Q. Incremental relinearization
+ * refreshes call this with the previous cache's Pinf, converging in a
+ * handful of iterations when (A, B) moved a little; a diverging
+ * off-trim model returns nullopt instead of aborting the process,
+ * letting the caller keep the stale cache.
  */
 std::optional<LqrCache>
 trySolveDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,

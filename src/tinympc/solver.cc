@@ -55,6 +55,220 @@ kid()
     return ids;
 }
 
+/** dst = srcᵀ. */
+void
+transposeInto(Buffer &dst, const Buffer &src)
+{
+    const int rows = src.rows();
+    const int cols = src.cols();
+    rtoc_assert(dst.rows() == cols && dst.cols() == rows);
+    const float *sp = src.data();
+    float *dp = dst.data();
+    for (int i = 0; i < rows; ++i)
+        for (int j = 0; j < cols; ++j)
+            dp[static_cast<size_t>(j) * rows + i] =
+                sp[static_cast<size_t>(i) * cols + j];
+}
+
+/*
+ * The non-emitting f32 solve. Each loop below performs, per element,
+ * exactly the op sequence of the Backend calls in Solver's kernel
+ * methods (1·a + 1·b is written a + b: multiplying by one is exact,
+ * and the compiler folds it in both paths alike), so every workspace
+ * buffer ends bit-identical to an emitting solve. The elementwise
+ * kernels of one iteration (slack, dual and linear-cost updates) are
+ * fused into one pass per trajectory: each element reads only its
+ * own index of the other trajectories, so the order across elements
+ * is free.
+ */
+
+/**
+ * Input side: znew = clamp(u + y), y += u - znew,
+ * r = -rho·znew + rho·y.
+ */
+void
+inputUpdates(int n, float rho, const float *__restrict u,
+             float *__restrict y, float *__restrict znew,
+             float *__restrict r, const float *__restrict lo,
+             const float *__restrict hi)
+{
+    for (int e = 0; e < n; ++e) {
+        float v = u[e] + y[e];
+        v = matlib::ref::fmaxSel(v, lo[e]);
+        v = matlib::ref::fminSel(v, hi[e]);
+        znew[e] = v;
+        const float yn = y[e] + (u[e] - v);
+        y[e] = yn;
+        r[e] = -rho * v + rho * yn;
+    }
+}
+
+/**
+ * State side: vnew = clamp(x + g), g += x - vnew,
+ * q = -(xRef·Q) - rho·(vnew - g).
+ */
+template <int NX>
+void
+stateUpdates(int rows, int nx, float rho, const float *__restrict x,
+             float *__restrict g, float *__restrict vnew,
+             float *__restrict q, const float *__restrict lo,
+             const float *__restrict hi, const float *__restrict xref,
+             const float *__restrict qdiag)
+{
+    if constexpr (NX > 0)
+        nx = NX;
+    for (int i = 0; i < rows; ++i) {
+        const size_t row = static_cast<size_t>(i) * nx;
+        for (int j = 0; j < nx; ++j) {
+            const size_t e = row + j;
+            float v = x[e] + g[e];
+            v = matlib::ref::fmaxSel(v, lo[e]);
+            v = matlib::ref::fminSel(v, hi[e]);
+            vnew[e] = v;
+            const float gn = g[e] + (x[e] - v);
+            g[e] = gn;
+            const float qe = -xref[e] * qdiag[j];
+            q[e] = qe + -rho * (v - gn);
+        }
+    }
+}
+
+/**
+ * ADMM iterations of the non-emitting f32 solve at shape (NX, NU);
+ * 0 takes the dimension from the workspace at run time. Fills
+ * iterations, converged and the residuals of @p res.
+ */
+template <int NX, int NU>
+void
+admmF32(Workspace &ws, int bound, SolveResult &res)
+{
+    using matlib::ref::gemvCol;
+    using matlib::ref::gemvSaxpbyCol;
+    const int nx = NX > 0 ? NX : ws.nx;
+    const int nu = NU > 0 ? NU : ws.nu;
+    const int N = ws.N;
+    const Settings &s = ws.settings;
+    const float rho = s.rho;
+
+    // Column-form operands: A x runs over Aᵀ. Kinf x, Bdyn u, BdynᵀP
+    // and KinfᵀR read the existing kinfT, bdynT, bdyn and kinf.
+    transposeInto(ws.adynT, ws.adyn);
+    transposeInto(ws.amBK, ws.amBKt);
+    transposeInto(ws.quuInvT, ws.quuInv);
+
+    float *x = ws.x.data();
+    float *u = ws.u.data();
+    float *d = ws.d.data();
+    float *p = ws.p.data();
+    float *r = ws.r.data();
+    float *q = ws.q.data();
+    const float *kinf = ws.kinf.data();
+    const float *kinfT = ws.kinfT.data();
+    const float *adynT = ws.adynT.data();
+    const float *bdyn = ws.bdyn.data();
+    const float *bdynT = ws.bdynT.data();
+    const float *amBK = ws.amBK.data();
+    const float *quuInvT = ws.quuInvT.data();
+    const float *affine = ws.affine.data();
+    const float *pAffine = ws.pAffine.data();
+    float *tmpNu = ws.tmpNu.data();
+    float *tmpNx = ws.tmpNx.data();
+    const size_t last = static_cast<size_t>(N - 1) * nx;
+
+    for (int iter = 1; iter <= bound; ++iter) {
+        // Forward pass: u[i] = -Kinf x[i] - d[i];
+        // x[i+1] = Adyn x[i] + Bdyn u[i] (+ cd off-trim).
+        for (int i = 0; i < N - 1; ++i) {
+            float *xi = x + static_cast<size_t>(i) * nx;
+            float *xn = xi + nx;
+            float *ui = u + static_cast<size_t>(i) * nu;
+            gemvSaxpbyCol<NU, NX>(ui, kinfT, xi, -1.0f, 0.0f, 1.0f,
+                                  -1.0f, d + static_cast<size_t>(i) * nu,
+                                  nu, nx);
+            gemvCol<NX, NX>(xn, adynT, xi, 1.0f, 0.0f, nx, nx);
+            if (ws.hasAffine) {
+                gemvSaxpbyCol<NX, NU>(xn, bdynT, ui, 1.0f, 1.0f, 1.0f,
+                                      1.0f, affine, nx, nu);
+            } else {
+                gemvCol<NX, NU>(xn, bdynT, ui, 1.0f, 1.0f, nx, nu);
+            }
+        }
+
+        // Slack, dual and linear-cost updates.
+        inputUpdates((N - 1) * nu, rho, u, ws.y.data(), ws.znew.data(),
+                     r, ws.uMin.data(), ws.uMax.data());
+        stateUpdates<NX>(N, nx, rho, x, ws.g.data(), ws.vnew.data(), q,
+                         ws.xMin.data(), ws.xMax.data(), ws.xRef.data(),
+                         ws.qDiag.data());
+        // p[N-1] = -(Xref[N-1]ᵀ Pinf) - rho (vnew[N-1] - g[N-1]):
+        // gemvT walks Pinf's rows, which is already column form.
+        float *pl = p + last;
+        gemvCol<NX, NX>(pl, ws.pinf.data(), ws.xRef.data() + last,
+                        -1.0f, 0.0f, nx, nx);
+        const float *vl = ws.vnew.data() + last;
+        const float *gl = ws.g.data() + last;
+        for (int j = 0; j < nx; ++j)
+            pl[j] += -rho * (vl[j] - gl[j]);
+
+        // Backward pass: d[i] = Quu_inv (Bdynᵀ p[i+1] + r[i]);
+        // p[i] = q[i] + AmBKt p[i+1] - Kinfᵀ r[i].
+        for (int i = N - 2; i >= 0; --i) {
+            const float *pn = p + static_cast<size_t>(i + 1) * nx;
+            float *pi = p + static_cast<size_t>(i) * nx;
+            const float *ri = r + static_cast<size_t>(i) * nu;
+            if (ws.hasAffine) {
+                for (int j = 0; j < nx; ++j)
+                    tmpNx[j] = pn[j] + pAffine[j];
+                pn = tmpNx;
+            }
+            gemvSaxpbyCol<NU, NX>(tmpNu, bdyn, pn, 1.0f, 0.0f, 1.0f,
+                                  1.0f, ri, nu, nx);
+            gemvCol<NU, NU>(d + static_cast<size_t>(i) * nu, quuInvT,
+                            tmpNu, 1.0f, 0.0f, nu, nu);
+            gemvSaxpbyCol<NX, NX>(pi, amBK, pn, 1.0f, 0.0f, 1.0f, 1.0f,
+                                  q + static_cast<size_t>(i) * nx, nx,
+                                  nx);
+            gemvCol<NX, NU>(pi, kinf, ri, -1.0f, 1.0f, nx, nu);
+        }
+        res.iterations = iter;
+
+        if (iter % s.checkTermination == 0) {
+            res.primalResidualState =
+                matlib::ref::absMaxDiff(ws.x.view(), ws.vnew.view());
+            res.dualResidualState =
+                rho * matlib::ref::absMaxDiff(ws.v.view(), ws.vnew.view());
+            res.primalResidualInput =
+                matlib::ref::absMaxDiff(ws.u.view(), ws.znew.view());
+            res.dualResidualInput =
+                rho * matlib::ref::absMaxDiff(ws.z.view(), ws.znew.view());
+            res.converged = res.primalResidualState < s.priTol &&
+                            res.primalResidualInput < s.priTol &&
+                            res.dualResidualState < s.duaTol &&
+                            res.dualResidualInput < s.duaTol;
+        }
+        matlib::ref::copy(ws.z.view(), ws.znew.view());
+        matlib::ref::copy(ws.v.view(), ws.vnew.view());
+        if (res.converged)
+            break;
+    }
+}
+
+/** Shape dispatch: the registry plants get compile-time shapes. */
+void
+solveF32(Workspace &ws, int bound, SolveResult &res)
+{
+    if (ws.nx == 12 && ws.nu == 4)
+        admmF32<12, 4>(ws, bound, res); // quadrotor
+    else if (ws.nx == 6 && ws.nu == 3)
+        admmF32<6, 3>(ws, bound, res); // rocket
+    else if (ws.nx == 5 && ws.nu == 2)
+        admmF32<5, 2>(ws, bound, res); // rover
+    else if (ws.nx == 4 && ws.nu == 1)
+        admmF32<4, 1>(ws, bound, res); // cart-pole
+    else
+        admmF32<0, 0>(ws, bound, res);
+}
+
 } // namespace
 
 Solver::Solver(Workspace &ws, matlib::Backend &backend, MappingStyle style)
@@ -341,29 +555,37 @@ Solver::solve(int max_iters)
     const int bound = max_iters > 0 ? std::min(max_iters, s.maxIters)
                                     : s.maxIters;
 
-    for (int iter = 1; iter <= bound; ++iter) {
-        forwardPass();
-        updateSlack();
-        updateDual();
-        updateLinearCost();
-        backwardPass();
-        res.iterations = iter;
+    if (backend_.program() == nullptr &&
+        backend_.format() == matlib::NumericFormat::F32) {
+        // Nothing to emit and f32 values are backend-independent:
+        // the dispatch-free fixed-shape path (see file comment).
+        solveF32(ws_, bound, res);
+    } else {
+        for (int iter = 1; iter <= bound; ++iter) {
+            forwardPass();
+            updateSlack();
+            updateDual();
+            updateLinearCost();
+            backwardPass();
+            res.iterations = iter;
 
-        bool check = (iter % s.checkTermination) == 0;
-        if (check && checkResiduals(res)) {
-            res.converged = true;
+            bool check = (iter % s.checkTermination) == 0;
+            if (check && checkResiduals(res)) {
+                res.converged = true;
+            }
+            {
+                // Slack bookkeeping for the next dual residual.
+                KernelScope k(backend_, kid().slackCopy);
+                backend_.copy(ws_.z.view(), ws_.znew.view());
+                backend_.copy(ws_.v.view(), ws_.vnew.view());
+            }
+            if (res.converged)
+                break;
         }
-        {
-            // Slack bookkeeping for the next dual residual.
-            KernelScope k(backend_, kid().slackCopy);
-            backend_.copy(ws_.z.view(), ws_.znew.view());
-            backend_.copy(ws_.v.view(), ws_.vnew.view());
-        }
-        if (res.converged)
-            break;
+        // Export the solution to the CPU/actuators (Gemmini:
+        // mvout+fence).
+        backend_.sync();
     }
-    // Export the solution to the CPU/actuators (Gemmini: mvout+fence).
-    backend_.sync();
 
     // Divergence check: non-finite residuals or command mean the
     // iteration blew up (compounding quantization error on narrow

@@ -47,6 +47,9 @@ Workspace::allocate(int nx, int nu, int horizon)
     w.pAffine = Buffer(1, nx);
     w.tmpNu = Buffer(1, nu);
     w.tmpNx = Buffer(1, nx);
+    w.adynT = Buffer(nx, nx);
+    w.amBK = Buffer(nx, nx);
+    w.quuInvT = Buffer(nu, nu);
 
     const float inf = 1e30f;
     matlib::ref::fill(w.uMin.view(), -inf);

@@ -102,6 +102,14 @@ struct Workspace
     Buffer tmpNu;  ///< 1 x nu backward-pass temporary
     Buffer tmpNx;  ///< 1 x nx temporary
 
+    // Column-form operands of the non-emitting f32 solve, rebuilt
+    // from the cache at the start of every such solve and read by
+    // nothing else, so no model refresh can leave them stale (kinfT,
+    // bdyn and bdynT already serve the other three products).
+    Buffer adynT;   ///< nx x nx, Adynᵀ
+    Buffer amBK;    ///< nx x nx, AmBKtᵀ = Adyn - Bdyn·Kinf
+    Buffer quuInvT; ///< nu x nu, Quu_invᵀ
+
     /** Allocate all buffers for the given dimensions. */
     static Workspace allocate(int nx, int nu, int horizon);
 

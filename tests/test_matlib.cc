@@ -1,12 +1,13 @@
 /**
  * @file
- * matlib tests: reference-kernel correctness (fast paths bitwise
- * equal to plain loops; clamp and residual selects bitwise equal to
- * libm fmaxf/fminf on adversarial operands), bit-exact functional
- * equivalence across all four backends (the paper's invariant that
- * software mappings change timing, never semantics), and emission
- * properties (fusion removes loads/stores, static scheduling shrinks
- * command construction, optimized scalar beats naive).
+ * matlib tests: reference-kernel correctness (fast paths and the
+ * column-form solver kernels bitwise equal to plain loops; clamp and
+ * residual selects bitwise equal to libm fmaxf/fminf on adversarial
+ * operands), bit-exact functional equivalence across all four
+ * backends (the paper's invariant that software mappings change
+ * timing, never semantics), and emission properties (fusion removes
+ * loads/stores, static scheduling shrinks command construction,
+ * optimized scalar beats naive).
  */
 
 #include <cmath>
@@ -104,8 +105,9 @@ TEST(Ref, AbsMaxDiff)
 
 /**
  * The plain reference loops the `__restrict` fast paths of ref::gemv,
- * gemvT, saxpby and the fused gemvSaxpby must reproduce bit for bit:
- * one serial accumulator per output in index order.
+ * gemvT and saxpby, and the column-form gemvCol/gemvSaxpbyCol, must
+ * reproduce bit for bit: one serial accumulator per output in index
+ * order.
  */
 namespace plain {
 
@@ -160,20 +162,103 @@ TEST(Ref, FastPathsMatchPlainLoopsBitwise)
         plain::gemvT(want_t.view(), a.view(), xt.view(), alpha, beta);
         EXPECT_EQ(got_t.data, want_t.data) << "gemvT " << m << "x" << n;
 
-        // The fused pass against the historical two-call sequence.
-        got = y0;
-        want = y0;
-        ref::gemvSaxpby(got.view(), a.view(), x.view(), alpha, beta, sa,
-                        sb, b.view());
-        plain::gemv(want.view(), a.view(), x.view(), alpha, beta);
-        plain::saxpby(want.view(), sa, want.view(), sb, b.view());
-        EXPECT_EQ(got.data, want.data) << "gemvSaxpby " << m << "x" << n;
-
         TestMat out_got = y0, out_want = y0;
         ref::saxpby(out_got.view(), sa, b.view(), sb, y0.view());
         plain::saxpby(out_want.view(), sa, b.view(), sb, y0.view());
         EXPECT_EQ(out_got.data, out_want.data) << "saxpby " << m;
     }
+}
+
+/** Aᵀ of a row-major m x n matrix, as an n x m TestMat. */
+TestMat
+transposed(TestMat &a)
+{
+    TestMat t = a;
+    std::swap(t.rows, t.cols);
+    for (int i = 0; i < a.rows; ++i)
+        for (int j = 0; j < a.cols; ++j)
+            t.view().at(j, i) = a.view().at(i, j);
+    return t;
+}
+
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * gemvCol<M, N> and gemvSaxpbyCol<M, N> (M = N = 0: run-time shape)
+ * against the plain gemv and the plain gemv;saxpby pair, bitwise,
+ * for the solver's constants and general ones. y starts with an
+ * infinity and a NaN where it has room, so beta = 0 must still
+ * multiply them (0·inf = NaN) exactly as the reference does.
+ */
+template <int M, int N>
+void
+expectColumnFormMatches(Rng &rng, int m, int n)
+{
+    TestMat a(m, n, rng, 3.0f), x(1, n, rng), b(1, m, rng),
+        y0(1, m, rng);
+    if (m > 2) {
+        y0.data[1] = std::numeric_limits<float>::infinity();
+        y0.data[2] = std::numeric_limits<float>::quiet_NaN();
+    }
+    TestMat at = transposed(a);
+    struct Coeffs
+    {
+        float alpha, beta, sa, sb;
+    };
+    const Coeffs cases[] = {{-1.0f, 0.0f, 1.0f, -1.0f},
+                            {1.0f, 1.0f, 1.0f, 1.0f},
+                            {-1.0f, 1.0f, 1.0f, 1.0f},
+                            {-0.75f, 0.5f, 1.25f, -1.0f}};
+    for (const Coeffs &c : cases) {
+        TestMat got = y0, want = y0;
+        ref::gemvCol<M, N>(got.data.data(), at.data.data(),
+                           x.data.data(), c.alpha, c.beta, m, n);
+        plain::gemv(want.view(), a.view(), x.view(), c.alpha, c.beta);
+        EXPECT_TRUE(sameBits(got.data, want.data))
+            << "gemvCol<" << M << "," << N << "> " << m << "x" << n
+            << " alpha=" << c.alpha << " beta=" << c.beta;
+
+        got = y0;
+        ref::gemvSaxpbyCol<M, N>(got.data.data(), at.data.data(),
+                                 x.data.data(), c.alpha, c.beta, c.sa,
+                                 c.sb, b.data.data(), m, n);
+        plain::saxpby(want.view(), c.sa, want.view(), c.sb, b.view());
+        EXPECT_TRUE(sameBits(got.data, want.data))
+            << "gemvSaxpbyCol<" << M << "," << N << "> " << m << "x"
+            << n << " alpha=" << c.alpha << " beta=" << c.beta;
+    }
+}
+
+/** The four products of the solve at a registry shape (NX, NU). */
+template <int NX, int NU>
+void
+expectSolverShapesMatch(Rng &rng)
+{
+    expectColumnFormMatches<NU, NX>(rng, NU, NX); // Kinf x, Bdynᵀ p
+    expectColumnFormMatches<NX, NX>(rng, NX, NX); // Adyn x, AmBKt p
+    expectColumnFormMatches<NX, NU>(rng, NX, NU); // Bdyn u, Kinfᵀ r
+    expectColumnFormMatches<NU, NU>(rng, NU, NU); // Quu_inv t
+}
+
+TEST(Ref, ColumnFormMatchesPlainLoopsBitwise)
+{
+    Rng rng(23);
+    // Run-time shapes, including several output chunks (m > 16).
+    const std::pair<int, int> shapes[] = {{12, 12}, {4, 12}, {12, 4},
+                                          {1, 7},   {33, 5}, {120, 1},
+                                          {7, 3},   {17, 16}};
+    for (auto [m, n] : shapes)
+        expectColumnFormMatches<0, 0>(rng, m, n);
+    // The compile-time instantiations the solver uses.
+    expectSolverShapesMatch<12, 4>(rng);
+    expectSolverShapesMatch<6, 3>(rng);
+    expectSolverShapesMatch<5, 2>(rng);
+    expectSolverShapesMatch<4, 1>(rng);
 }
 
 /**

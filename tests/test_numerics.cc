@@ -2,13 +2,16 @@
  * @file
  * Unit and property tests for the offline numerics: dense matrix
  * algebra, LU solve, Cholesky, matrix exponential, ZOH discretization
- * and the discrete Riccati solver.
+ * and the discrete Riccati solver (and its memo).
  */
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hh"
+#include "hil/sweep.hh"
 #include "numerics/dare.hh"
 #include "numerics/dmatrix.hh"
 
@@ -329,6 +332,99 @@ TEST(Dare, InPlaceIterationBitIdenticalToAllocatingReference)
         EXPECT_EQ(warm_got->iterations, warm_ref->iterations);
         EXPECT_EQ(warm_got->pinf.maxAbsDiff(warm_ref->pinf), 0.0);
         EXPECT_LE(warm_got->iterations, got->iterations);
+    }
+}
+
+// --- the solveDare memo ---
+
+void
+expectSameBits(const DMatrix &got, const DMatrix &want, const char *what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << what;
+}
+
+/** Every field bitwise, the iteration count and residual included. */
+void
+expectSameCache(const LqrCache &got, const LqrCache &want)
+{
+    expectSameBits(got.kinf, want.kinf, "kinf");
+    expectSameBits(got.pinf, want.pinf, "pinf");
+    expectSameBits(got.quuInv, want.quuInv, "quuInv");
+    expectSameBits(got.amBKt, want.amBKt, "amBKt");
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(std::memcmp(&got.residual, &want.residual, sizeof(double)),
+              0);
+}
+
+/** A 3-state problem no other test in this binary solves. */
+struct MemoProblem
+{
+    DMatrix a{3, 3, {1, 0.04, 0.002, 0, 0.97, 0.04, 0.02, 0, 0.96}};
+    DMatrix b{3, 2, {0.003, 0, 0.04, 0.02, 0, 0.05}};
+    DMatrix q = DMatrix::diag({7.0, 3.0, 1.5});
+    DMatrix r = DMatrix::diag({0.25, 0.35});
+};
+
+TEST(Dare, MemoHitIsBitIdenticalToFreshSolve)
+{
+    MemoProblem m;
+    auto fresh = trySolveDare(m.a, m.b, m.q, m.r, 2.0, nullptr, 1e-10,
+                              10000);
+    ASSERT_TRUE(fresh.has_value());
+
+    DareMemoStats before = dareMemoStats();
+    LqrCache first = solveDare(m.a, m.b, m.q, m.r, 2.0);
+    LqrCache second = solveDare(m.a, m.b, m.q, m.r, 2.0);
+    DareMemoStats after = dareMemoStats();
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    expectSameCache(first, *fresh);
+    expectSameCache(second, *fresh);
+
+    // The copy handed out is the caller's: mutating it leaves the
+    // memoized entry intact.
+    second.kinf(0, 0) += 1.0;
+    expectSameCache(solveDare(m.a, m.b, m.q, m.r, 2.0), *fresh);
+
+    // Every input is part of the key: another tolerance, iteration
+    // bound or one changed bit of an operand solves afresh.
+    before = dareMemoStats();
+    LqrCache loose = solveDare(m.a, m.b, m.q, m.r, 2.0, 1e-6);
+    solveDare(m.a, m.b, m.q, m.r, 2.0, 1e-10, 9999);
+    DMatrix q2 = m.q;
+    q2(2, 2) = std::nextafter(q2(2, 2), 2.0);
+    solveDare(m.a, m.b, q2, m.r, 2.0);
+    after = dareMemoStats();
+    EXPECT_EQ(after.misses - before.misses, 3u);
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    auto loose_fresh =
+        trySolveDare(m.a, m.b, m.q, m.r, 2.0, nullptr, 1e-6, 10000);
+    ASSERT_TRUE(loose_fresh.has_value());
+    expectSameCache(loose, *loose_fresh);
+}
+
+TEST(Dare, ConcurrentMemoCallsAgree)
+{
+    // Racing first solves and hits of three keys on four workers.
+    MemoProblem m;
+    const double rhos[] = {3.0, 4.0, 6.0};
+    ThreadPool pool(4);
+    hil::SweepRunner runner(pool);
+    runner.setGrain(1);
+    std::vector<LqrCache> got = runner.map<LqrCache>(
+        48, [&](size_t i) {
+            return solveDare(m.a, m.b, m.q, m.r, rhos[i % 3]);
+        });
+    for (size_t i = 0; i < got.size(); ++i) {
+        auto fresh = trySolveDare(m.a, m.b, m.q, m.r, rhos[i % 3],
+                                  nullptr, 1e-10, 10000);
+        ASSERT_TRUE(fresh.has_value());
+        expectSameCache(got[i], *fresh);
     }
 }
 

@@ -2,14 +2,24 @@
  * @file
  * TinyMPC solver tests: ADMM convergence, constraint satisfaction,
  * tracking behaviour, bit-exact equivalence of Library vs Fused
- * mapping styles and across backends, warm-start iteration savings,
- * and kernel-region instrumentation (the Fig. 1 FLOP breakdown).
+ * mapping styles and across backends, the non-emitting fixed-shape
+ * f32 path bitwise against the emitting path, warm-start iteration
+ * savings, and kernel-region instrumentation (the Fig. 1 FLOP
+ * breakdown).
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "cpu/inorder.hh"
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
@@ -135,11 +145,16 @@ TEST_P(SolverEquivalence, MappingsProduceIdenticalSolutions)
                           std::vector<float> &u_out) {
         Workspace ws = doubleIntegratorWs(12, 0.5f);
         ws.settings.maxIters = 30;
+        // Emitting, so each backend computes through its own kernels
+        // (a non-emitting f32 solve takes the shared fixed-shape path).
+        isa::Program prog;
+        backend.setProgram(&prog);
         Solver solver(ws, backend, style);
         solver.setup();
         float x0[2] = {1.2f, -0.4f};
         ws.setInitialState(x0);
         solver.solve();
+        backend.setProgram(nullptr);
         for (int i = 0; i < ws.N - 1; ++i)
             u_out.push_back(ws.u.view().at(i, 0));
     };
@@ -341,6 +356,234 @@ TEST(Solver, GemminiRejectsFusedEmission)
         solver.solve();
         b.setProgram(nullptr);
         EXPECT_GT(prog.uops().size(), 0u);
+    }
+}
+
+// --- the non-emitting f32 path against the emitting path ---
+
+/**
+ * A seeded (nx, nu) problem: a lightly coupled stable A, a dense B
+ * and its DARE cache, horizon 9, default settings.
+ */
+Workspace
+randomShapeWs(int nx, int nu, uint64_t seed)
+{
+    Rng rng(seed);
+    DMatrix a(nx, nx), b(nx, nu);
+    for (int i = 0; i < nx; ++i) {
+        for (int j = 0; j < nx; ++j)
+            a(i, j) = (i == j ? 0.97 : 0.0) + 0.03 * rng.uniform(-1, 1);
+        for (int j = 0; j < nu; ++j)
+            b(i, j) = 0.1 * rng.uniform(-1, 1);
+    }
+    std::vector<double> q_diag(static_cast<size_t>(nx));
+    for (double &v : q_diag)
+        v = rng.uniform(1.0, 10.0);
+    numerics::LqrCache cache = numerics::solveDare(
+        a, b, DMatrix::diag(q_diag),
+        DMatrix::identity(nu) * 0.5, 1.0);
+    Workspace ws = Workspace::allocate(nx, nu, 9);
+    ws.loadCache(a, b, cache, q_diag);
+    ws.setInputBounds(std::vector<float>(static_cast<size_t>(nu), -0.4f),
+                      std::vector<float>(static_cast<size_t>(nu), 0.4f));
+    std::vector<float> xr(static_cast<size_t>(nx));
+    for (float &v : xr)
+        v = static_cast<float>(rng.uniform(-0.5, 0.5));
+    ws.setReferenceAll(xr);
+    return ws;
+}
+
+/** Off-trim model refresh: perturbed (A, B) and a nonzero cd. */
+void
+refreshAffine(Workspace &ws, uint64_t seed)
+{
+    Rng rng(seed);
+    const int nx = ws.nx;
+    const int nu = ws.nu;
+    DMatrix a(nx, nx), b(nx, nu);
+    for (int i = 0; i < nx; ++i) {
+        for (int j = 0; j < nx; ++j)
+            a(i, j) = ws.adyn.view().at(i, j) + 0.01 * rng.uniform(-1, 1);
+        for (int j = 0; j < nu; ++j)
+            b(i, j) = ws.bdyn.view().at(i, j);
+    }
+    std::vector<double> cd(static_cast<size_t>(nx));
+    for (double &v : cd)
+        v = 0.02 * rng.uniform(-1, 1);
+    std::vector<double> q_diag(ws.qDiag.data(), ws.qDiag.data() + nx);
+    numerics::LqrCache cache = numerics::solveDare(
+        a, b, DMatrix::diag(q_diag), DMatrix::identity(nu) * 0.5, 1.0);
+    ws.refreshModel(a, b, cache, cd);
+    ASSERT_TRUE(ws.hasAffine);
+}
+
+/**
+ * Adversarial bounds: inputs pinned to [+0, -0] or with a NaN bound
+ * in alternate rows, and in every state row one entry pinned to
+ * [-0, +0], one to [+0, -0] and a NaN bound on each side, so clamp
+ * ties and NaN operands reach the selects of both paths.
+ */
+void
+adversarialBounds(Workspace &ws)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (int i = 0; i < ws.N - 1; ++i) {
+        if (i % 2 == 0) {
+            ws.uMin.view().at(i, 0) = 0.0f;
+            ws.uMax.view().at(i, 0) = -0.0f;
+        } else {
+            ws.uMin.view().at(i, 0) = nan;
+        }
+        if (ws.nu > 1)
+            ws.uMax.view().at(i, 1) = nan;
+    }
+    for (int i = 0; i < ws.N; ++i) {
+        ws.xMin.view().at(i, 0) = -0.0f;
+        ws.xMax.view().at(i, 0) = 0.0f;
+        ws.xMin.view().at(i, 1) = nan;
+        ws.xMax.view().at(i, 2) = nan;
+        ws.xMin.view().at(i, 3) = 0.0f;
+        ws.xMax.view().at(i, 3) = -0.0f;
+    }
+}
+
+bool
+sameFloat(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+/**
+ * Every buffer the solve reads or writes, bitwise (NaN payloads
+ * included), except the fast path's own column-form scratch.
+ */
+void
+expectSameWorkspace(Workspace &got, Workspace &want,
+                    const std::string &what)
+{
+    auto buffers = [](Workspace &w) {
+        return std::vector<std::pair<const char *, Buffer *>>{
+            {"x", &w.x},         {"u", &w.u},         {"znew", &w.znew},
+            {"z", &w.z},         {"y", &w.y},         {"vnew", &w.vnew},
+            {"v", &w.v},         {"g", &w.g},         {"q", &w.q},
+            {"p", &w.p},         {"r", &w.r},         {"d", &w.d},
+            {"xRef", &w.xRef},   {"uMin", &w.uMin},   {"uMax", &w.uMax},
+            {"xMin", &w.xMin},   {"xMax", &w.xMax},   {"qDiag", &w.qDiag},
+            {"kinf", &w.kinf},   {"kinfT", &w.kinfT}, {"pinf", &w.pinf},
+            {"quuInv", &w.quuInv}, {"amBKt", &w.amBKt},
+            {"adyn", &w.adyn},   {"bdyn", &w.bdyn},   {"bdynT", &w.bdynT},
+            {"affine", &w.affine}, {"pAffine", &w.pAffine},
+            {"tmpNu", &w.tmpNu}, {"tmpNx", &w.tmpNx}};
+    };
+    auto g = buffers(got);
+    auto w = buffers(want);
+    for (size_t k = 0; k < g.size(); ++k) {
+        const Buffer &bg = *g[k].second;
+        const Buffer &bw = *w[k].second;
+        ASSERT_EQ(bg.rows(), bw.rows());
+        ASSERT_EQ(bg.cols(), bw.cols());
+        int bad = 0;
+        for (int i = 0; i < bg.rows() * bg.cols(); ++i)
+            bad += !sameFloat(bg.data()[i], bw.data()[i]);
+        EXPECT_EQ(bad, 0) << what << ": buffer " << g[k].first;
+    }
+}
+
+void
+expectSameResult(const SolveResult &got, const SolveResult &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(got.iterations, want.iterations) << what;
+    EXPECT_EQ(got.converged, want.converged) << what;
+    EXPECT_EQ(got.diverged, want.diverged) << what;
+    EXPECT_TRUE(
+        sameFloat(got.primalResidualState, want.primalResidualState))
+        << what;
+    EXPECT_TRUE(sameFloat(got.dualResidualState, want.dualResidualState))
+        << what;
+    EXPECT_TRUE(
+        sameFloat(got.primalResidualInput, want.primalResidualInput))
+        << what;
+    EXPECT_TRUE(sameFloat(got.dualResidualInput, want.dualResidualInput))
+        << what;
+}
+
+/**
+ * Warm-started consecutive solves of one problem on the fast path (no
+ * program attached) and on the emitting path (a Program attached to
+ * a ScalarBackend, whose values come from the ref:: kernels), with
+ * budgets 1, 3, 25 and the configured bound, compared after each.
+ */
+void
+expectFastPathMatchesEmitting(Workspace fast_ws, const std::string &what,
+                              bool nonfinite_x0 = false)
+{
+    Workspace emit_ws = fast_ws;
+    matlib::ScalarBackend fast_backend(matlib::ScalarFlavor::Optimized);
+    matlib::ScalarBackend emit_backend(matlib::ScalarFlavor::Optimized);
+    Solver fast(fast_ws, fast_backend, MappingStyle::Library);
+    Solver emit(emit_ws, emit_backend, MappingStyle::Library);
+
+    Rng rng(7);
+    const int budgets[] = {1, 3, 25, 0, 3, 25};
+    for (size_t k = 0; k < std::size(budgets); ++k) {
+        std::vector<float> x0(static_cast<size_t>(fast_ws.nx));
+        for (float &v : x0)
+            v = static_cast<float>(rng.uniform(-1.5, 1.5));
+        if (k == 0)
+            std::fill(x0.begin(), x0.end(), 0.0f); // exact-zero start
+        if (nonfinite_x0 && k >= 3) {
+            x0[0] = std::numeric_limits<float>::quiet_NaN();
+            x0[1] = std::numeric_limits<float>::infinity();
+        }
+        fast_ws.setInitialState(x0.data());
+        emit_ws.setInitialState(x0.data());
+
+        isa::Program prog;
+        emit_backend.setProgram(&prog);
+        SolveResult want = emit.solve(budgets[k]);
+        emit_backend.setProgram(nullptr);
+        ASSERT_GT(prog.uops().size(), 0u);
+        SolveResult got = fast.solve(budgets[k]);
+
+        const std::string at =
+            what + " solve " + std::to_string(k) + " budget " +
+            std::to_string(budgets[k]);
+        expectSameResult(got, want, at);
+        expectSameWorkspace(fast_ws, emit_ws, at);
+        if (nonfinite_x0 && k >= 3) {
+            EXPECT_TRUE(got.diverged) << at;
+        }
+    }
+}
+
+TEST(SolverFastPath, MatchesEmittingPathBitwise)
+{
+    // The four registry shapes (compile-time instantiations) and a
+    // shape that runs the run-time-dimension instantiation.
+    const std::pair<int, int> shapes[] = {
+        {12, 4}, {6, 3}, {5, 2}, {4, 1}, {7, 3}};
+    uint64_t seed = 100;
+    for (auto [nx, nu] : shapes) {
+        const std::string shape =
+            std::to_string(nx) + "x" + std::to_string(nu);
+        expectFastPathMatchesEmitting(randomShapeWs(nx, nu, ++seed),
+                                      shape);
+
+        Workspace affine = randomShapeWs(nx, nu, ++seed);
+        refreshAffine(affine, ++seed);
+        expectFastPathMatchesEmitting(affine, shape + " affine");
+
+        Workspace every_check = randomShapeWs(nx, nu, ++seed);
+        every_check.settings.checkTermination = 1;
+        expectFastPathMatchesEmitting(every_check, shape + " check=1");
+
+        Workspace edges = randomShapeWs(nx, nu, ++seed);
+        adversarialBounds(edges);
+        expectFastPathMatchesEmitting(edges, shape + " NaN/+-0 bounds");
+
+        expectFastPathMatchesEmitting(randomShapeWs(nx, nu, ++seed),
+                                      shape + " non-finite x0", true);
     }
 }
 
