@@ -90,6 +90,14 @@ class Backend
 
     /** Saturation telemetry accumulated by the fx kernels. */
     const fx::Counters &fxCounters() const { return fxCounters_; }
+    /** Add counts of a datapath run outside the kernels (the
+     *  non-emitting narrow solve). */
+    void
+    addFxCounters(const fx::Counters &c)
+    {
+        fxCounters_.quantSats += c.quantSats;
+        fxCounters_.accSats += c.accSats;
+    }
     void resetFxCounters() { fxCounters_ = fx::Counters(); }
 
     // --- operations (see ref:: for semantics) ---
@@ -124,26 +132,15 @@ class Backend
     }
 
     /**
-     * Fused gemv→saxpby pair (y = sa·(alpha·A x + beta·y) + sb·b),
-     * the shape of the solver's forward/backward passes. At f32, and
-     * whenever emitting, this is EXACTLY the historical two-call
-     * sequence — the micro-op stream (and every cache key derived
-     * from it) is unchanged; the non-emitting f32 solve never gets
-     * here (it runs ref::gemvSaxpbyCol). Narrow formats off the
-     * emission path run the one-pass fx:: kernel, bit-identical to
-     * the pair.
+     * gemv→saxpby pair (y = sa·(alpha·A x + beta·y) + sb·b), the shape
+     * of the solver's forward/backward passes, as its two calls.
      */
     void
     gemvSaxpby(Mat y, const Mat &a, Mat x, float alpha, float beta,
                float sa, float sb, const Mat &b)
     {
-        if (emitting() || fmt_ == NumericFormat::F32) {
-            gemv(y, a, x, alpha, beta);
-            saxpby(y, sa, y, sb, b);
-        } else {
-            fx::gemvSaxpby(fmt_, scaling_, fxCounters_, y, a, x, alpha,
-                           beta, sa, sb, b);
-        }
+        gemv(y, a, x, alpha, beta);
+        saxpby(y, sa, y, sb, b);
     }
 
     /**

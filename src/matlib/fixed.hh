@@ -21,11 +21,13 @@
  * accumulator clamps separately) — the telemetry the precision Pareto
  * bench reports next to divergence rates.
  *
- * Kernel structure (fixed.cc). Each call dispatches on the format
- * once; the loops are instantiated per format with every grid scale
- * hoisted out. Results and counters are bit-identical to quantizing
- * every operand per use, element by element (the oracle in
- * test_precision):
+ * Kernel structure (fixed.cc, fixed_arith.hh). Each call dispatches
+ * on the format once; the loops are instantiated per format with every
+ * grid scale hoisted out, and the element arithmetic (quantizer,
+ * saturating accumulator, round-shift, saxpby element) has one
+ * definition in fixed_arith.hh, shared with the non-emitting narrow
+ * solve. Results and counters are bit-identical to quantizing every
+ * operand per use, element by element (the oracle in test_precision):
  *  - the vector operand is converted once per call, not once per row,
  *    and its clamp count is added once per row — the same total. When
  *    the output overlaps it, it is re-converted before every row, so
@@ -37,6 +39,18 @@
  *  - the accumulator round-shift works on the magnitude in unsigned
  *    arithmetic, and a left shift (outFrac > aFrac + xFrac) saturates
  *    when the product leaves int64, so no path overflows.
+ * There is no fused gemv->saxpby kernel: the solver's pass shape is
+ * the gemv and saxpby pair (Backend::gemvSaxpby).
+ *
+ * The non-emitting solve (tinympc::Solver::solve with no Program
+ * attached) does not call these kernels. It converts each of the
+ * eight gain/dynamics matrices once per solve, in column form and
+ * under the KernelSpec of the kernel that reads it (gemvT for Pinf,
+ * gemv for the rest), and records the matrix's quantizer clamps.
+ * Every use of the matrix then adds that count to quantSats — the
+ * count a kernel call gets by converting the matrix row by row — so
+ * both paths count alike. Nothing is cached across solves: a model
+ * refresh may swap the matrices and the scaling between two ticks.
  * Fractions outside [0, magnitude bits - 1] are rejected up front
  * (checkScaling), which bounds the shifts.
  */
@@ -45,6 +59,7 @@
 #define RTOC_MATLIB_FIXED_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "matlib/mat.hh"
@@ -85,8 +100,24 @@ NumericFormat defaultFormat();
 
 namespace fx {
 
-/** Truncate @p v to bfloat16 (round-to-nearest-even). */
-float toBf16(float v);
+/**
+ * Truncate @p v to bfloat16 (round-to-nearest-even). NaN payloads are
+ * forced to a quiet pattern instead of rounding. Branch-free (a
+ * select), so loops over it vectorize.
+ */
+inline float
+toBf16(float v)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    const uint32_t rounded = (bits + 0x7fffu + ((bits >> 16) & 1u)) &
+                             0xffff0000u;
+    const uint32_t quiet = (bits & 0xffff0000u) | 0x00400000u;
+    bits = (bits & 0x7fffffffu) > 0x7f800000u ? quiet : rounded;
+    float out;
+    std::memcpy(&out, &bits, sizeof(out));
+    return out;
+}
 
 /**
  * Per-kernel Q-format schedule: fraction bits of the matrix operand,
@@ -148,11 +179,6 @@ void gemvT(NumericFormat f, const Scaling &s, Counters &c, Mat y,
 /** out = sa * a + sb * b on the @p f datapath. */
 void saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out,
             float sa, const Mat &a, float sb, const Mat &b);
-
-/** Fused gemv -> saxpby pair (the solver's pass shape). */
-void gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c, Mat y,
-                const Mat &a, Mat x, float alpha, float beta, float sa,
-                float sb, const Mat &b);
 
 } // namespace fx
 

@@ -16,14 +16,16 @@
  * kernel (gemv, saxpby, clampVec, ...). The non-emitting closed-loop
  * solve (tinympc::Solver::solve) instead runs the column-form
  * templates below, over transposed operands and at compile-time
- * shapes, with no virtual dispatch. The column form is exact, not an
- * approximation: each output keeps its own accumulator, initialized
- * to 0.0f and advanced by one serial `+=` chain in ascending column
- * order, then combined as alpha·acc + beta·y (and sa·t + sb·b), the
- * very op sequence of ref::gemv. Only the *interleaving* of
- * independent outputs changes, which is what lets the compiler put
- * output rows in SIMD lanes. No chain is reassociated, so the two
- * paths agree bit for bit (pinned in test_matlib and test_tinympc).
+ * shapes, with no virtual dispatch (its narrow formats run their
+ * saturating MACs through the same macColChunks loop). The column
+ * form is exact, not an approximation: each output keeps its own
+ * accumulator, initialized to 0.0f and advanced by one serial `+=`
+ * chain in ascending column order, then combined as alpha·acc +
+ * beta·y (and sa·t + sb·b), the very op sequence of ref::gemv. Only
+ * the *interleaving* of independent outputs changes, which is what
+ * lets the compiler put output rows in SIMD lanes. No chain is
+ * reassociated, so the two paths agree bit for bit (pinned in
+ * test_matlib and test_tinympc).
  * Contraction into FMAs would break this; the build disables it.
  */
 
@@ -91,6 +93,44 @@ disjoint(const float *p, int n, const float *q, int m)
            qb + static_cast<uintptr_t>(m) * sizeof(float) <= pb;
 }
 
+/**
+ * Column-form accumulation: for each output i < m, acc = Acc{} then
+ * acc = mac(acc, at[j·m + i], x[j]) for j ascending, handed to
+ * @p out(i, acc). @p at is Aᵀ (n x m, row j = column j of A). A
+ * positive M or N fixes that dimension at compile time (the argument
+ * must equal it); 0 reads it at run time, with the outputs taken in
+ * register-sized chunks. The narrow datapaths (tinympc's non-emitting
+ * solve) run their converted operands and saturating MACs through
+ * this same loop.
+ */
+template <int M, int N, typename Acc, typename T, typename Mac,
+          typename Out>
+inline void
+macColChunks(const T *__restrict at, const T *__restrict x, int m, int n,
+             Mac &&mac, Out &&out)
+{
+    rtoc_assert((M == 0 || m == M) && (N == 0 || n == N));
+    if constexpr (M > 0)
+        m = M;
+    if constexpr (N > 0)
+        n = N;
+    constexpr int kChunk = M > 0 ? M : 16;
+    for (int i0 = 0; i0 < m; i0 += kChunk) {
+        const int w = M > 0 ? M : std::min(kChunk, m - i0);
+        Acc acc[kChunk];
+        for (int i = 0; i < w; ++i)
+            acc[i] = Acc{};
+        for (int j = 0; j < n; ++j) {
+            const T xj = x[j];
+            const T *__restrict col = at + static_cast<size_t>(j) * m + i0;
+            for (int i = 0; i < w; ++i)
+                acc[i] = mac(acc[i], col[i], xj);
+        }
+        for (int i = 0; i < w; ++i)
+            out(i0 + i, acc[i]);
+    }
+}
+
 /** Functional float32 kernels shared by all backends. */
 namespace ref {
 
@@ -153,39 +193,17 @@ fminSel(float x, float y)
 }
 
 /**
- * Column-form accumulation shared by gemvCol and gemvSaxpbyCol: for
- * each output i < m, acc = 0.0f then acc += at[j·m + i]·x[j] for j
- * ascending, handed to @p out(i, acc). @p at is Aᵀ (n x m, row j =
- * column j of A). A positive M or N fixes that dimension at compile
- * time (the argument must equal it); 0 reads it at run time, with
- * the outputs taken in register-sized chunks.
+ * The float32 instance of macColChunks, shared by gemvCol and
+ * gemvSaxpbyCol: acc starts at 0.0f and advances by acc += a·x.
  */
 template <int M, int N, typename Out>
 inline void
 gemvColChunks(const float *__restrict at, const float *__restrict x,
               int m, int n, Out &&out)
 {
-    rtoc_assert((M == 0 || m == M) && (N == 0 || n == N));
-    if constexpr (M > 0)
-        m = M;
-    if constexpr (N > 0)
-        n = N;
-    constexpr int kChunk = M > 0 ? M : 16;
-    for (int i0 = 0; i0 < m; i0 += kChunk) {
-        const int w = M > 0 ? M : std::min(kChunk, m - i0);
-        float acc[kChunk];
-        for (int i = 0; i < w; ++i)
-            acc[i] = 0.0f;
-        for (int j = 0; j < n; ++j) {
-            const float xj = x[j];
-            const float *__restrict col =
-                at + static_cast<size_t>(j) * m + i0;
-            for (int i = 0; i < w; ++i)
-                acc[i] += col[i] * xj;
-        }
-        for (int i = 0; i < w; ++i)
-            out(i0 + i, acc[i]);
-    }
+    macColChunks<M, N, float>(
+        at, x, m, n, [](float acc, float a, float xj) { return acc + a * xj; },
+        out);
 }
 
 /**

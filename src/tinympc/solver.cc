@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/logging.hh"
+#include "matlib/fixed_arith.hh"
 #include "matlib/gemmini_backend.hh"
 
 namespace rtoc::tinympc {
 
 using matlib::Mat;
+using matlib::NumericFormat;
+namespace fx = matlib::fx;
 
 namespace {
 
@@ -71,35 +75,266 @@ transposeInto(Buffer &dst, const Buffer &src)
 }
 
 /*
- * The non-emitting f32 solve. Each loop below performs, per element,
+ * The non-emitting solve. Each loop below performs, per element,
  * exactly the op sequence of the Backend calls in Solver's kernel
- * methods (1·a + 1·b is written a + b: multiplying by one is exact,
- * and the compiler folds it in both paths alike), so every workspace
- * buffer ends bit-identical to an emitting solve. The elementwise
- * kernels of one iteration (slack, dual and linear-cost updates) are
- * fused into one pass per trajectory: each element reads only its
- * own index of the other trajectories, so the order across elements
- * is free.
+ * methods at the backend's format (1·a + 1·b is written a + b at f32:
+ * multiplying by one is exact, and the compiler folds it in both
+ * paths alike), so every workspace buffer and every saturation count
+ * ends bit-identical to an emitting solve. The elementwise kernels of
+ * one iteration (slack, dual and linear-cost updates) are fused into
+ * one pass per trajectory: each element reads only its own index of
+ * the other trajectories, so the order across elements is free.
  */
+
+/**
+ * The datapath of one non-emitting solve at format @p F: its
+ * column-form gemv operands, the conversion of vector operands and
+ * the MAC and elementwise kernels. At f32 the operands are the float
+ * transposes and the kernels are ref::gemvCol and plain float ops. On
+ * a narrow format each gain/dynamics matrix is converted once per
+ * solve, under the KernelSpec of the kernel that reads it (gemvT for
+ * Pinf, gemv for the rest), and its quantizer clamps are counted once;
+ * every use adds that count, which is the count the fx:: kernels give
+ * by converting it on every call. Nothing is cached across solves: a
+ * model refresh may swap the matrices and the scaling between ticks.
+ */
+template <NumericFormat F>
+class Datapath
+{
+  public:
+    static constexpr bool kF32 = F == NumericFormat::F32;
+    using T = std::conditional_t<kF32, float, fx::Operand<F>>;
+
+    /** A gemv operand: Aᵀ (n x m), its quantizer clamps and the
+     *  grids of the kernel that reads it. */
+    struct Col
+    {
+        const T *at = nullptr;
+        uint64_t sats = 0;
+        const fx::SpecGrids<F> *spec = nullptr;
+    };
+
+    /** A converted vector operand and its quantizer clamps. */
+    struct Vec
+    {
+        const T *v = nullptr;
+        uint64_t sats = 0;
+    };
+
+    Col kinf, adyn, bdyn, bdynT, quuInv, amBKt, kinfT, pinf;
+
+    Datapath(Workspace &ws, const fx::Scaling &s)
+        : gemv_(s.gemv), gemvT_(s.gemvT), saxpby_(s.saxpby)
+    {
+        // Column-form operands: A x runs over Aᵀ. Kinf x, Bdyn u,
+        // BdynᵀP and KinfᵀR read the existing kinfT, bdynT, bdyn and
+        // kinf; Pinfᵀ x (gemvT) reads Pinf itself.
+        if constexpr (kF32) {
+            transposeInto(ws.adynT, ws.adyn);
+            transposeInto(ws.amBK, ws.amBKt);
+            transposeInto(ws.quuInvT, ws.quuInv);
+            kinf = {ws.kinfT.data(), 0, &gemv_};
+            adyn = {ws.adynT.data(), 0, &gemv_};
+            bdyn = {ws.bdynT.data(), 0, &gemv_};
+            bdynT = {ws.bdyn.data(), 0, &gemv_};
+            quuInv = {ws.quuInvT.data(), 0, &gemv_};
+            amBKt = {ws.amBK.data(), 0, &gemv_};
+            kinfT = {ws.kinf.data(), 0, &gemv_};
+            pinf = {ws.pinf.data(), 0, &gemvT_};
+        } else {
+            if (F != NumericFormat::BF16 &&
+                !(fx::fracsInRange(F, s.gemv) &&
+                  fx::fracsInRange(F, s.gemvT) &&
+                  fx::fracsInRange(F, s.saxpby))) {
+                rtoc_panic("fx kernel: fraction bits out of range");
+            }
+            T *dst = nullptr;
+            if constexpr (F == NumericFormat::BF16)
+                dst = ws.bf16Cols.data();
+            else
+                dst = ws.fixedCols.data();
+            kinf = convert(dst, ws.kinfT, false, gemv_);
+            adyn = convert(dst, ws.adyn, true, gemv_);
+            bdyn = convert(dst, ws.bdynT, false, gemv_);
+            bdynT = convert(dst, ws.bdyn, false, gemv_);
+            quuInv = convert(dst, ws.quuInv, true, gemv_);
+            amBKt = convert(dst, ws.amBKt, true, gemv_);
+            kinfT = convert(dst, ws.kinf, false, gemv_);
+            pinf = convert(dst, ws.pinf, false, gemvT_);
+            slots_ = dst;
+            slotLen_ = std::max(ws.nx, ws.nu);
+        }
+    }
+
+    // The operands point at this object's grids.
+    Datapath(const Datapath &) = delete;
+    Datapath &operator=(const Datapath &) = delete;
+
+    /** Vector @p v of @p n elements as the x operand of a gemv use,
+     *  converted into scratch slot @p slot. */
+    Vec
+    vec(const float *v, int n, int slot)
+    {
+        return convert(v, n, slot, gemv_);
+    }
+
+    /** Vector @p v as the x operand of a gemvT use. */
+    Vec
+    vecT(const float *v, int n, int slot)
+    {
+        return convert(v, n, slot, gemvT_);
+    }
+
+    /** y = alpha·A x + beta·y. */
+    template <int M, int N>
+    void
+    gemv(float *y, const Col &a, const Vec &x, float alpha, float beta,
+         int m, int n)
+    {
+        if constexpr (kF32) {
+            matlib::ref::gemvCol<M, N>(y, a.at, x.v, alpha, beta, m, n);
+        } else {
+            mac<M, N>(y, a, x, alpha, beta, m, n,
+                      [&](int i, float v, uint64_t &) { y[i] = v; });
+        }
+    }
+
+    /** y = sa·(alpha·A x + beta·y) + sb·b. */
+    template <int M, int N>
+    void
+    gemvSaxpby(float *y, const Col &a, const Vec &x, float alpha,
+               float beta, float sa, float sb, const float *b, int m,
+               int n)
+    {
+        if constexpr (kF32) {
+            matlib::ref::gemvSaxpbyCol<M, N>(y, a.at, x.v, alpha, beta, sa,
+                                             sb, b, m, n);
+        } else {
+            mac<M, N>(y, a, x, alpha, beta, m, n,
+                      [&](int i, float v, uint64_t &sats) {
+                          y[i] = fx::saxpbyElem<F>(sa, v, sb, b[i],
+                                                   saxpby_, sats);
+                      });
+        }
+    }
+
+    /** The elementwise saxpby sa·a + sb·b; clamps count into @p sats. */
+    float
+    saxpby(float sa, float a, float sb, float b, uint64_t &sats) const
+    {
+        if constexpr (kF32)
+            return sa * a + sb * b;
+        else
+            return fx::saxpbyElem<F>(sa, a, sb, b, saxpby_, sats);
+    }
+
+    /** a + b, the saxpby of Backend::add. */
+    float
+    add(float a, float b, uint64_t &sats) const
+    {
+        if constexpr (kF32)
+            return a + b;
+        else
+            return fx::saxpbyElem<F>(1.0f, a, 1.0f, b, saxpby_, sats);
+    }
+
+    /** Add the clamps counted by an elementwise pass. */
+    void countQuant(uint64_t sats) { counts_.quantSats += sats; }
+
+    /** The saturation counts of the solve so far. */
+    const fx::Counters &counts() const { return counts_; }
+
+  private:
+    /** Convert @p src (as is, or transposed) into @p dst, advancing it. */
+    Col
+    convert(T *&dst, const Buffer &src, bool transpose,
+            const fx::SpecGrids<F> &k)
+    {
+        const int rows = src.rows();
+        const int cols = src.cols();
+        const float *sp = src.data();
+        uint64_t sats = 0;
+        for (int i = 0; i < rows; ++i) {
+            for (int j = 0; j < cols; ++j) {
+                const size_t at = transpose
+                                      ? static_cast<size_t>(j) * rows + i
+                                      : static_cast<size_t>(i) * cols + j;
+                dst[at] = fx::toOperand<F>(
+                    sp[static_cast<size_t>(i) * cols + j], k.a, sats);
+            }
+        }
+        Col c{dst, sats, &k};
+        dst += static_cast<size_t>(rows) * cols;
+        return c;
+    }
+
+    Vec
+    convert(const float *v, int n, int slot, const fx::SpecGrids<F> &k)
+    {
+        if constexpr (kF32) {
+            return {v, 0};
+        } else {
+            T *dst = slots_ + static_cast<size_t>(slot) * slotLen_;
+            uint64_t sats = 0;
+            for (int j = 0; j < n; ++j)
+                dst[j] = fx::toOperand<F>(v[j], k.x, sats);
+            return {dst, sats};
+        }
+    }
+
+    /**
+     * One narrow gemv use: the MAC chains of every output in column
+     * form, then the output store handed to @p store(i, value, sats).
+     * The vector's clamps count once per output row, as in fx::gemv.
+     */
+    template <int M, int N, typename Store>
+    void
+    mac(const float *y, const Col &a, const Vec &x, float alpha,
+        float beta, int m, int n, Store &&store)
+    {
+        const fx::SpecGrids<F> &k = *a.spec;
+        uint64_t quant = a.sats + static_cast<uint64_t>(m) * x.sats;
+        uint64_t acc_sats = 0;
+        matlib::macColChunks<M, N, fx::Acc<F>>(
+            a.at, x.v, m, n,
+            [&](fx::Acc<F> acc, T av, T xv) {
+                return fx::mac<F>(acc, av, xv, acc_sats);
+            },
+            [&](int i, fx::Acc<F> acc) {
+                store(i,
+                      fx::gemvStore<F>(acc, alpha, beta, y[i], k, quant,
+                                       acc_sats),
+                      quant);
+            });
+        counts_.quantSats += quant;
+        counts_.accSats += acc_sats;
+    }
+
+    fx::SpecGrids<F> gemv_, gemvT_, saxpby_;
+    T *slots_ = nullptr;
+    size_t slotLen_ = 0;
+    fx::Counters counts_;
+};
 
 /**
  * Input side: znew = clamp(u + y), y += u - znew,
  * r = -rho·znew + rho·y.
  */
+template <NumericFormat F>
 void
-inputUpdates(int n, float rho, const float *__restrict u,
-             float *__restrict y, float *__restrict znew,
-             float *__restrict r, const float *__restrict lo,
-             const float *__restrict hi)
+inputUpdates(const Datapath<F> &dp, uint64_t &sats, int n, float rho,
+             const float *__restrict u, float *__restrict y,
+             float *__restrict znew, float *__restrict r,
+             const float *__restrict lo, const float *__restrict hi)
 {
     for (int e = 0; e < n; ++e) {
-        float v = u[e] + y[e];
+        float v = dp.add(u[e], y[e], sats);
         v = matlib::ref::fmaxSel(v, lo[e]);
         v = matlib::ref::fminSel(v, hi[e]);
         znew[e] = v;
         const float yn = y[e] + (u[e] - v);
         y[e] = yn;
-        r[e] = -rho * v + rho * yn;
+        r[e] = dp.saxpby(-rho, v, rho, yn, sats);
     }
 }
 
@@ -107,13 +342,13 @@ inputUpdates(int n, float rho, const float *__restrict u,
  * State side: vnew = clamp(x + g), g += x - vnew,
  * q = -(xRef·Q) - rho·(vnew - g).
  */
-template <int NX>
+template <NumericFormat F, int NX>
 void
-stateUpdates(int rows, int nx, float rho, const float *__restrict x,
-             float *__restrict g, float *__restrict vnew,
-             float *__restrict q, const float *__restrict lo,
-             const float *__restrict hi, const float *__restrict xref,
-             const float *__restrict qdiag)
+stateUpdates(const Datapath<F> &dp, uint64_t &sats, int rows, int nx,
+             float rho, const float *__restrict x, float *__restrict g,
+             float *__restrict vnew, float *__restrict q,
+             const float *__restrict lo, const float *__restrict hi,
+             const float *__restrict xref, const float *__restrict qdiag)
 {
     if constexpr (NX > 0)
         nx = NX;
@@ -121,7 +356,7 @@ stateUpdates(int rows, int nx, float rho, const float *__restrict x,
         const size_t row = static_cast<size_t>(i) * nx;
         for (int j = 0; j < nx; ++j) {
             const size_t e = row + j;
-            float v = x[e] + g[e];
+            float v = dp.add(x[e], g[e], sats);
             v = matlib::ref::fmaxSel(v, lo[e]);
             v = matlib::ref::fminSel(v, hi[e]);
             vnew[e] = v;
@@ -134,41 +369,29 @@ stateUpdates(int rows, int nx, float rho, const float *__restrict x,
 }
 
 /**
- * ADMM iterations of the non-emitting f32 solve at shape (NX, NU);
- * 0 takes the dimension from the workspace at run time. Fills
- * iterations, converged and the residuals of @p res.
+ * ADMM iterations of the non-emitting solve at format @p F and shape
+ * (NX, NU); 0 takes the dimension from the workspace at run time.
+ * Fills iterations, converged and the residuals of @p res, and
+ * returns the saturation counts of the narrow datapaths.
  */
-template <int NX, int NU>
-void
-admmF32(Workspace &ws, int bound, SolveResult &res)
+template <NumericFormat F, int NX, int NU>
+fx::Counters
+admm(Workspace &ws, const fx::Scaling &scaling, int bound,
+     SolveResult &res)
 {
-    using matlib::ref::gemvCol;
-    using matlib::ref::gemvSaxpbyCol;
     const int nx = NX > 0 ? NX : ws.nx;
     const int nu = NU > 0 ? NU : ws.nu;
     const int N = ws.N;
     const Settings &s = ws.settings;
     const float rho = s.rho;
 
-    // Column-form operands: A x runs over Aᵀ. Kinf x, Bdyn u, BdynᵀP
-    // and KinfᵀR read the existing kinfT, bdynT, bdyn and kinf.
-    transposeInto(ws.adynT, ws.adyn);
-    transposeInto(ws.amBK, ws.amBKt);
-    transposeInto(ws.quuInvT, ws.quuInv);
-
+    Datapath<F> dp(ws, scaling);
     float *x = ws.x.data();
     float *u = ws.u.data();
     float *d = ws.d.data();
     float *p = ws.p.data();
     float *r = ws.r.data();
     float *q = ws.q.data();
-    const float *kinf = ws.kinf.data();
-    const float *kinfT = ws.kinfT.data();
-    const float *adynT = ws.adynT.data();
-    const float *bdyn = ws.bdyn.data();
-    const float *bdynT = ws.bdynT.data();
-    const float *amBK = ws.amBK.data();
-    const float *quuInvT = ws.quuInvT.data();
     const float *affine = ws.affine.data();
     const float *pAffine = ws.pAffine.data();
     float *tmpNu = ws.tmpNu.data();
@@ -176,35 +399,41 @@ admmF32(Workspace &ws, int bound, SolveResult &res)
     const size_t last = static_cast<size_t>(N - 1) * nx;
 
     for (int iter = 1; iter <= bound; ++iter) {
+        uint64_t sats = 0; // elementwise clamps of this iteration
+
         // Forward pass: u[i] = -Kinf x[i] - d[i];
         // x[i+1] = Adyn x[i] + Bdyn u[i] (+ cd off-trim).
         for (int i = 0; i < N - 1; ++i) {
             float *xi = x + static_cast<size_t>(i) * nx;
             float *xn = xi + nx;
             float *ui = u + static_cast<size_t>(i) * nu;
-            gemvSaxpbyCol<NU, NX>(ui, kinfT, xi, -1.0f, 0.0f, 1.0f,
-                                  -1.0f, d + static_cast<size_t>(i) * nu,
-                                  nu, nx);
-            gemvCol<NX, NX>(xn, adynT, xi, 1.0f, 0.0f, nx, nx);
+            const auto xv = dp.vec(xi, nx, 0);
+            dp.template gemvSaxpby<NU, NX>(
+                ui, dp.kinf, xv, -1.0f, 0.0f, 1.0f, -1.0f,
+                d + static_cast<size_t>(i) * nu, nu, nx);
+            dp.template gemv<NX, NX>(xn, dp.adyn, xv, 1.0f, 0.0f, nx, nx);
+            const auto uv = dp.vec(ui, nu, 1);
             if (ws.hasAffine) {
-                gemvSaxpbyCol<NX, NU>(xn, bdynT, ui, 1.0f, 1.0f, 1.0f,
-                                      1.0f, affine, nx, nu);
+                dp.template gemvSaxpby<NX, NU>(xn, dp.bdyn, uv, 1.0f, 1.0f,
+                                               1.0f, 1.0f, affine, nx, nu);
             } else {
-                gemvCol<NX, NU>(xn, bdynT, ui, 1.0f, 1.0f, nx, nu);
+                dp.template gemv<NX, NU>(xn, dp.bdyn, uv, 1.0f, 1.0f, nx,
+                                         nu);
             }
         }
 
         // Slack, dual and linear-cost updates.
-        inputUpdates((N - 1) * nu, rho, u, ws.y.data(), ws.znew.data(),
-                     r, ws.uMin.data(), ws.uMax.data());
-        stateUpdates<NX>(N, nx, rho, x, ws.g.data(), ws.vnew.data(), q,
-                         ws.xMin.data(), ws.xMax.data(), ws.xRef.data(),
-                         ws.qDiag.data());
-        // p[N-1] = -(Xref[N-1]ᵀ Pinf) - rho (vnew[N-1] - g[N-1]):
-        // gemvT walks Pinf's rows, which is already column form.
+        inputUpdates(dp, sats, (N - 1) * nu, rho, u, ws.y.data(),
+                     ws.znew.data(), r, ws.uMin.data(), ws.uMax.data());
+        stateUpdates<F, NX>(dp, sats, N, nx, rho, x, ws.g.data(),
+                            ws.vnew.data(), q, ws.xMin.data(),
+                            ws.xMax.data(), ws.xRef.data(),
+                            ws.qDiag.data());
+        // p[N-1] = -(Xref[N-1]ᵀ Pinf) - rho (vnew[N-1] - g[N-1]).
         float *pl = p + last;
-        gemvCol<NX, NX>(pl, ws.pinf.data(), ws.xRef.data() + last,
-                        -1.0f, 0.0f, nx, nx);
+        dp.template gemv<NX, NX>(pl, dp.pinf,
+                                 dp.vecT(ws.xRef.data() + last, nx, 0),
+                                 -1.0f, 0.0f, nx, nx);
         const float *vl = ws.vnew.data() + last;
         const float *gl = ws.g.data() + last;
         for (int j = 0; j < nx; ++j)
@@ -218,18 +447,22 @@ admmF32(Workspace &ws, int bound, SolveResult &res)
             const float *ri = r + static_cast<size_t>(i) * nu;
             if (ws.hasAffine) {
                 for (int j = 0; j < nx; ++j)
-                    tmpNx[j] = pn[j] + pAffine[j];
+                    tmpNx[j] = dp.add(pn[j], pAffine[j], sats);
                 pn = tmpNx;
             }
-            gemvSaxpbyCol<NU, NX>(tmpNu, bdyn, pn, 1.0f, 0.0f, 1.0f,
-                                  1.0f, ri, nu, nx);
-            gemvCol<NU, NU>(d + static_cast<size_t>(i) * nu, quuInvT,
-                            tmpNu, 1.0f, 0.0f, nu, nu);
-            gemvSaxpbyCol<NX, NX>(pi, amBK, pn, 1.0f, 0.0f, 1.0f, 1.0f,
-                                  q + static_cast<size_t>(i) * nx, nx,
-                                  nx);
-            gemvCol<NX, NU>(pi, kinf, ri, -1.0f, 1.0f, nx, nu);
+            const auto pv = dp.vec(pn, nx, 0);
+            dp.template gemvSaxpby<NU, NX>(tmpNu, dp.bdynT, pv, 1.0f, 0.0f,
+                                           1.0f, 1.0f, ri, nu, nx);
+            dp.template gemv<NU, NU>(d + static_cast<size_t>(i) * nu,
+                                     dp.quuInv, dp.vec(tmpNu, nu, 2), 1.0f,
+                                     0.0f, nu, nu);
+            dp.template gemvSaxpby<NX, NX>(
+                pi, dp.amBKt, pv, 1.0f, 0.0f, 1.0f, 1.0f,
+                q + static_cast<size_t>(i) * nx, nx, nx);
+            dp.template gemv<NX, NU>(pi, dp.kinfT, dp.vec(ri, nu, 1), -1.0f,
+                                     1.0f, nx, nu);
         }
+        dp.countQuant(sats);
         res.iterations = iter;
 
         if (iter % s.checkTermination == 0) {
@@ -251,22 +484,42 @@ admmF32(Workspace &ws, int bound, SolveResult &res)
         if (res.converged)
             break;
     }
+    return dp.counts();
 }
 
 /** Shape dispatch: the registry plants get compile-time shapes. */
-void
-solveF32(Workspace &ws, int bound, SolveResult &res)
+template <NumericFormat F>
+fx::Counters
+solveFast(Workspace &ws, const fx::Scaling &s, int bound,
+          SolveResult &res)
 {
     if (ws.nx == 12 && ws.nu == 4)
-        admmF32<12, 4>(ws, bound, res); // quadrotor
-    else if (ws.nx == 6 && ws.nu == 3)
-        admmF32<6, 3>(ws, bound, res); // rocket
-    else if (ws.nx == 5 && ws.nu == 2)
-        admmF32<5, 2>(ws, bound, res); // rover
-    else if (ws.nx == 4 && ws.nu == 1)
-        admmF32<4, 1>(ws, bound, res); // cart-pole
-    else
-        admmF32<0, 0>(ws, bound, res);
+        return admm<F, 12, 4>(ws, s, bound, res); // quadrotor
+    if (ws.nx == 6 && ws.nu == 3)
+        return admm<F, 6, 3>(ws, s, bound, res); // rocket
+    if (ws.nx == 5 && ws.nu == 2)
+        return admm<F, 5, 2>(ws, s, bound, res); // rover
+    if (ws.nx == 4 && ws.nu == 1)
+        return admm<F, 4, 1>(ws, s, bound, res); // cart-pole
+    return admm<F, 0, 0>(ws, s, bound, res);
+}
+
+/** Format dispatch of the non-emitting solve. */
+fx::Counters
+solveFast(NumericFormat f, Workspace &ws, const fx::Scaling &s, int bound,
+          SolveResult &res)
+{
+    switch (f) {
+      case NumericFormat::F32:
+        return solveFast<NumericFormat::F32>(ws, s, bound, res);
+      case NumericFormat::BF16:
+        return solveFast<NumericFormat::BF16>(ws, s, bound, res);
+      case NumericFormat::I32:
+        return solveFast<NumericFormat::I32>(ws, s, bound, res);
+      case NumericFormat::I16:
+        return solveFast<NumericFormat::I16>(ws, s, bound, res);
+    }
+    rtoc_panic("solve: bad format %d", static_cast<int>(f));
 }
 
 } // namespace
@@ -555,11 +808,13 @@ Solver::solve(int max_iters)
     const int bound = max_iters > 0 ? std::min(max_iters, s.maxIters)
                                     : s.maxIters;
 
-    if (backend_.program() == nullptr &&
-        backend_.format() == matlib::NumericFormat::F32) {
-        // Nothing to emit and f32 values are backend-independent:
-        // the dispatch-free fixed-shape path (see file comment).
-        solveF32(ws_, bound, res);
+    if (backend_.program() == nullptr) {
+        // Nothing to emit, and values depend only on the format and
+        // the scaling: the dispatch-free fixed-shape path (see the
+        // file comment).
+        backend_.addFxCounters(solveFast(backend_.format(), ws_,
+                                         backend_.fixedScaling(), bound,
+                                         res));
     } else {
         for (int iter = 1; iter <= bound; ++iter) {
             forwardPass();

@@ -14,17 +14,20 @@
  * backends (pure float32 reference arithmetic); only the emitted
  * micro-op stream — and therefore simulated time — differs.
  *
- * Which code computes the values: while a Program is attached, or at
- * a narrow format, solve() runs the kernel methods below through the
- * Backend (ref:: or fx:: values plus emission under KernelScope
- * regions). A non-emitting f32 solve — the closed-loop tick path —
- * has nothing to emit and backend-independent values, so it runs one
- * dispatch-free template over (nx, nu) instead: compile-time shapes
- * for the registry plants, a run-time instantiation otherwise, gemvs
- * in column form over transposed operands (matlib::ref::gemvCol) and
- * the elementwise updates of an iteration fused per trajectory. Each
- * output keeps the exact op sequence of the Backend path, so both
- * paths agree bit for bit (pinned in test_tinympc).
+ * Which code computes the values: while a Program is attached,
+ * solve() runs the kernel methods below through the Backend (ref:: or
+ * fx:: values plus emission under KernelScope regions). A
+ * non-emitting solve — the closed-loop tick path — has nothing to
+ * emit, and its values depend only on the format and the fixed-point
+ * scaling, so it runs one dispatch-free template over (format, nx,
+ * nu) instead: compile-time shapes for the registry plants, a
+ * run-time instantiation otherwise, gemvs in column form over
+ * transposed operands (f32: matlib::ref::gemvCol; bf16/i16/i32: the
+ * gain and dynamics matrices converted onto the datapath once per
+ * solve) and the elementwise updates of an iteration fused per
+ * trajectory. Each output keeps the exact op sequence of the Backend
+ * path, and each saturation count its total, so both paths agree bit
+ * for bit (pinned in test_tinympc at every format).
  */
 
 #ifndef RTOC_TINYMPC_SOLVER_HH

@@ -1,10 +1,24 @@
 #include "workspace.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
 
 namespace rtoc::tinympc {
+
+namespace {
+
+/** Elements of Workspace::bf16Cols / fixedCols for (nx, nu). */
+size_t
+narrowColsSize(int nx, int nu)
+{
+    const size_t x = static_cast<size_t>(nx);
+    const size_t u = static_cast<size_t>(nu);
+    return 4 * x * u + 3 * x * x + u * u + 3 * std::max(x, u);
+}
+
+} // namespace
 
 Workspace
 Workspace::allocate(int nx, int nu, int horizon)
@@ -50,6 +64,8 @@ Workspace::allocate(int nx, int nu, int horizon)
     w.adynT = Buffer(nx, nx);
     w.amBK = Buffer(nx, nx);
     w.quuInvT = Buffer(nu, nu);
+    w.bf16Cols.resize(narrowColsSize(nx, nu));
+    w.fixedCols.resize(narrowColsSize(nx, nu));
 
     const float inf = 1e30f;
     matlib::ref::fill(w.uMin.view(), -inf);

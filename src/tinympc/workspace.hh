@@ -13,6 +13,7 @@
 #ifndef RTOC_TINYMPC_WORKSPACE_HH
 #define RTOC_TINYMPC_WORKSPACE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "matlib/mat.hh"
@@ -109,6 +110,14 @@ struct Workspace
     Buffer adynT;   ///< nx x nx, Adynᵀ
     Buffer amBK;    ///< nx x nx, AmBKtᵀ = Adyn - Bdyn·Kinf
     Buffer quuInvT; ///< nu x nu, Quu_invᵀ
+
+    // Column-form operands of the non-emitting narrow solve: the eight
+    // gain/dynamics matrices converted onto the datapath once per
+    // solve (bf16-rounded, or quantized onto the grid of the kernel
+    // that reads them), followed by three converted-vector slots of
+    // max(nx, nu) elements. Read by nothing else.
+    std::vector<float> bf16Cols;    ///< bf16 operands
+    std::vector<int32_t> fixedCols; ///< i16/i32 grid integers
 
     /** Allocate all buffers for the given dimensions. */
     static Workspace allocate(int nx, int nu, int horizon);

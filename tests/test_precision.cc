@@ -7,6 +7,8 @@
  * within the error bounds their Q-format schedules imply, saturation
  * telemetry fires on engineered overflow, the float32 path is
  * bit-identical whether the format is defaulted or set explicitly,
+ * pinned narrow-format episodes (bf16/i32/i16, with saturation counts
+ * and relinearizing refreshes) reproduce their golden outputs,
  * narrow streams survive schedule search and batched replay
  * bit-exactly, formats round-trip through the program codec / disk
  * cache under distinct keys, and the DSE format axis enumerates
@@ -19,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +42,11 @@
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
+#include "plant/cartpole.hh"
+#include "plant/quad_plant.hh"
 #include "plant/registry.hh"
+#include "plant/rocket.hh"
+#include "plant/rover.hh"
 #include "systolic/gemmini.hh"
 #include "vector/saturn.hh"
 
@@ -461,9 +468,11 @@ expectMatchesOracle(NumericFormat f, const fx::Scaling &s,
                        vec(want, call.bOff, n));
         break;
       case FxOp::GemvSaxpby:
-        fx::gemvSaxpby(f, s, cg, vec(got, call.yOff, m), mat(got),
-                       vec(got, call.xOff, n), call.alpha, call.beta,
-                       call.sa, call.sb, vec(got, call.bOff, m));
+        // The solver's pass shape: a gemv, then a saxpby over its y.
+        fx::gemv(f, s, cg, vec(got, call.yOff, m), mat(got),
+                 vec(got, call.xOff, n), call.alpha, call.beta);
+        fx::saxpby(f, s, cg, vec(got, call.yOff, m), call.sa,
+                   vec(got, call.yOff, m), call.sb, vec(got, call.bOff, m));
         oracle::gemvAny(f, s, cw, vec(want, call.yOff, m), mat(want),
                         vec(want, call.xOff, n), call.alpha, call.beta,
                         false);
@@ -812,6 +821,91 @@ TEST(FormatIdentity, F32EpisodeBitExactPerPlant)
         EXPECT_EQ(a.rotorEnergyJ, b.rotorEnergyJ) << spec.id;
         EXPECT_EQ(a.divergedSolves, 0) << spec.id;
         EXPECT_EQ(a.quantSats, 0u) << spec.id;
+    }
+}
+
+// --- narrow-format episode goldens ---
+
+/** One narrow-format closed-loop episode, pinned. */
+struct NarrowGolden
+{
+    const char *plant;
+    NumericFormat format;
+    int relinEveryK; ///< 0: fixed trim; K: refresh every K ticks
+    int success;
+    int waypointsReached;
+    size_t solves;
+    double iterations; ///< summed over the solves
+    int divergedSolves;
+    int modelRefreshes;
+    uint64_t quantSats;
+    uint64_t accSats;
+};
+
+// Recorded while every narrow solve still ran through the Backend's
+// fx:: kernel calls (Easy scenario 0, synthetic pin timing): one
+// episode per format, the rover's int16 accumulator saturation, and
+// two relinearizing episodes whose refreshes recalibrate the fixed-
+// point scaling mid-episode.
+const NarrowGolden kNarrowGolden[] = {
+    {"quad-crazyflie", NumericFormat::I32, 0, 0, 0, 104, 2375, 0, 0,
+     1651167, 0},
+    {"rocket-lander", NumericFormat::BF16, 0, 1, 0, 245, 6125, 0, 0, 0, 0},
+    {"rover-rover", NumericFormat::I16, 0, 0, 1, 451, 11255, 0, 0, 1678050,
+     4050},
+    {"rocket-lander", NumericFormat::I16, 5, 1, 0, 175, 4375, 0, 34,
+     895765, 0},
+    {"rover-rover", NumericFormat::BF16, 5, 1, 5, 322, 7995, 0, 64, 0, 0},
+};
+
+std::unique_ptr<plant::Plant>
+plantNamed(const std::string &name)
+{
+    std::vector<std::unique_ptr<plant::Plant>> plants;
+    plants.push_back(std::make_unique<plant::QuadrotorPlant>());
+    plants.push_back(std::make_unique<plant::RocketPlant>());
+    plants.push_back(std::make_unique<plant::RoverPlant>());
+    plants.push_back(std::make_unique<plant::CartPolePlant>());
+    for (auto &p : plants) {
+        if (p->name() == name)
+            return std::move(p);
+    }
+    ADD_FAILURE() << "no plant " << name;
+    return nullptr;
+}
+
+TEST(NarrowEpisodes, BitExactGoldenPerFormat)
+{
+    hil::ControllerTiming pin;
+    pin.archName = "pin";
+    pin.mappingName = "pin";
+    pin.baseCycles = 200000.0;
+    pin.cyclesPerIter = 30000.0;
+    pin.refreshBaseCycles = 50000.0;
+    pin.refreshCyclesPerIter = 4000.0;
+    for (const NarrowGolden &g : kNarrowGolden) {
+        std::unique_ptr<plant::Plant> p = plantNamed(g.plant);
+        ASSERT_NE(p, nullptr);
+        hil::HilConfig cfg;
+        cfg.timing = pin;
+        cfg.format = g.format;
+        cfg.relin.everyK = g.relinEveryK;
+        const std::string what = std::string(g.plant) + " " +
+                                 matlib::formatName(g.format) + " K" +
+                                 std::to_string(g.relinEveryK);
+        hil::EpisodeResult r = hil::runEpisode(
+            *p, p->makeScenario(plant::Difficulty::Easy, 0), cfg);
+        double iterations = 0.0;
+        for (double it : r.iterations.samples())
+            iterations += it;
+        EXPECT_EQ(r.success, g.success == 1) << what;
+        EXPECT_EQ(r.waypointsReached, g.waypointsReached) << what;
+        EXPECT_EQ(r.iterations.size(), g.solves) << what;
+        EXPECT_EQ(iterations, g.iterations) << what;
+        EXPECT_EQ(r.divergedSolves, g.divergedSolves) << what;
+        EXPECT_EQ(r.modelRefreshes, g.modelRefreshes) << what;
+        EXPECT_EQ(r.quantSats, g.quantSats) << what;
+        EXPECT_EQ(r.accSats, g.accSats) << what;
     }
 }
 

@@ -3,7 +3,8 @@
  * TinyMPC solver tests: ADMM convergence, constraint satisfaction,
  * tracking behaviour, bit-exact equivalence of Library vs Fused
  * mapping styles and across backends, the non-emitting fixed-shape
- * f32 path bitwise against the emitting path, warm-start iteration
+ * path bitwise against the emitting path at every format (saturation
+ * counters included), warm-start iteration
  * savings, and kernel-region instrumentation (the Fig. 1 FLOP
  * breakdown).
  */
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -508,19 +510,40 @@ expectSameResult(const SolveResult &got, const SolveResult &want,
         << what;
 }
 
+/** The datapath both solvers of a comparison run on. */
+struct DatapathSetup
+{
+    matlib::NumericFormat format = matlib::NumericFormat::F32;
+    /** Explicit fixed-point scaling; unset calibrates the workspace. */
+    std::optional<matlib::fx::Scaling> scaling;
+    /** Bound on the entries of the random initial states. */
+    double x0Range = 1.5;
+};
+
 /**
  * Warm-started consecutive solves of one problem on the fast path (no
  * program attached) and on the emitting path (a Program attached to
- * a ScalarBackend, whose values come from the ref:: kernels), with
- * budgets 1, 3, 25 and the configured bound, compared after each.
+ * a ScalarBackend, whose values come from the ref:: or fx:: kernels),
+ * with budgets 1, 3, 25 and the configured bound, compared after each:
+ * results, every workspace buffer and the saturation counters.
  */
 void
 expectFastPathMatchesEmitting(Workspace fast_ws, const std::string &what,
-                              bool nonfinite_x0 = false)
+                              bool nonfinite_x0 = false,
+                              const DatapathSetup &setup = {})
 {
     Workspace emit_ws = fast_ws;
     matlib::ScalarBackend fast_backend(matlib::ScalarFlavor::Optimized);
     matlib::ScalarBackend emit_backend(matlib::ScalarFlavor::Optimized);
+    if (setup.format != matlib::NumericFormat::F32) {
+        const matlib::fx::Scaling s =
+            setup.scaling ? *setup.scaling
+                          : calibrateFixedScaling(fast_ws, setup.format);
+        for (matlib::Backend *b : {&fast_backend, &emit_backend}) {
+            b->setFormat(setup.format);
+            b->setFixedScaling(s);
+        }
+    }
     Solver fast(fast_ws, fast_backend, MappingStyle::Library);
     Solver emit(emit_ws, emit_backend, MappingStyle::Library);
 
@@ -529,7 +552,8 @@ expectFastPathMatchesEmitting(Workspace fast_ws, const std::string &what,
     for (size_t k = 0; k < std::size(budgets); ++k) {
         std::vector<float> x0(static_cast<size_t>(fast_ws.nx));
         for (float &v : x0)
-            v = static_cast<float>(rng.uniform(-1.5, 1.5));
+            v = static_cast<float>(
+                rng.uniform(-setup.x0Range, setup.x0Range));
         if (k == 0)
             std::fill(x0.begin(), x0.end(), 0.0f); // exact-zero start
         if (nonfinite_x0 && k >= 3) {
@@ -551,40 +575,113 @@ expectFastPathMatchesEmitting(Workspace fast_ws, const std::string &what,
             std::to_string(budgets[k]);
         expectSameResult(got, want, at);
         expectSameWorkspace(fast_ws, emit_ws, at);
-        if (nonfinite_x0 && k >= 3) {
+        EXPECT_EQ(fast_backend.fxCounters().quantSats,
+                  emit_backend.fxCounters().quantSats)
+            << at;
+        EXPECT_EQ(fast_backend.fxCounters().accSats,
+                  emit_backend.fxCounters().accSats)
+            << at;
+        if (nonfinite_x0 && k >= 3 &&
+            setup.format == matlib::NumericFormat::F32) {
             EXPECT_TRUE(got.diverged) << at;
         }
     }
 }
 
+/**
+ * Every variant of one shape: plain, affine refresh, a residual check
+ * every iteration, NaN/±0 bounds and a non-finite initial state.
+ */
+void
+expectAllVariantsMatch(int nx, int nu, uint64_t &seed,
+                       const std::string &tag,
+                       const DatapathSetup &setup = {})
+{
+    const std::string shape =
+        tag + std::to_string(nx) + "x" + std::to_string(nu);
+    expectFastPathMatchesEmitting(randomShapeWs(nx, nu, ++seed), shape,
+                                  false, setup);
+
+    Workspace affine = randomShapeWs(nx, nu, ++seed);
+    refreshAffine(affine, ++seed);
+    expectFastPathMatchesEmitting(affine, shape + " affine", false, setup);
+
+    Workspace every_check = randomShapeWs(nx, nu, ++seed);
+    every_check.settings.checkTermination = 1;
+    expectFastPathMatchesEmitting(every_check, shape + " check=1", false,
+                                  setup);
+
+    Workspace edges = randomShapeWs(nx, nu, ++seed);
+    adversarialBounds(edges);
+    expectFastPathMatchesEmitting(edges, shape + " NaN/+-0 bounds", false,
+                                  setup);
+
+    expectFastPathMatchesEmitting(randomShapeWs(nx, nu, ++seed),
+                                  shape + " non-finite x0", true, setup);
+}
+
+// The four registry shapes (compile-time instantiations) and a shape
+// that runs the run-time-dimension instantiation.
+const std::pair<int, int> kFastPathShapes[] = {
+    {12, 4}, {6, 3}, {5, 2}, {4, 1}, {7, 3}};
+
 TEST(SolverFastPath, MatchesEmittingPathBitwise)
 {
-    // The four registry shapes (compile-time instantiations) and a
-    // shape that runs the run-time-dimension instantiation.
-    const std::pair<int, int> shapes[] = {
-        {12, 4}, {6, 3}, {5, 2}, {4, 1}, {7, 3}};
     uint64_t seed = 100;
-    for (auto [nx, nu] : shapes) {
-        const std::string shape =
-            std::to_string(nx) + "x" + std::to_string(nu);
-        expectFastPathMatchesEmitting(randomShapeWs(nx, nu, ++seed),
-                                      shape);
+    for (auto [nx, nu] : kFastPathShapes)
+        expectAllVariantsMatch(nx, nu, seed, "");
+}
 
-        Workspace affine = randomShapeWs(nx, nu, ++seed);
-        refreshAffine(affine, ++seed);
-        expectFastPathMatchesEmitting(affine, shape + " affine");
+TEST(SolverFastPath, NarrowMatchesEmittingPathBitwise)
+{
+    using matlib::NumericFormat;
+    for (NumericFormat f :
+         {NumericFormat::BF16, NumericFormat::I16, NumericFormat::I32}) {
+        const std::string tag = std::string(matlib::formatName(f)) + " ";
+        DatapathSetup calibrated;
+        calibrated.format = f;
+        uint64_t seed = 300;
+        for (auto [nx, nu] : kFastPathShapes)
+            expectAllVariantsMatch(nx, nu, seed, tag, calibrated);
+        if (f == NumericFormat::BF16)
+            continue; // bf16 has no grid
 
-        Workspace every_check = randomShapeWs(nx, nu, ++seed);
-        every_check.settings.checkTermination = 1;
-        expectFastPathMatchesEmitting(every_check, shape + " check=1");
-
-        Workspace edges = randomShapeWs(nx, nu, ++seed);
-        adversarialBounds(edges);
-        expectFastPathMatchesEmitting(edges, shape + " NaN/+-0 bounds");
-
-        expectFastPathMatchesEmitting(randomShapeWs(nx, nu, ++seed),
-                                      shape + " non-finite x0", true);
+        // Distinct grids per kernel, which calibration never produces
+        // (it gives gemv and gemvT one spec): a fast path that read an
+        // operand on the wrong kernel's grid would differ here.
+        DatapathSetup distinct = calibrated;
+        distinct.scaling.emplace();
+        distinct.scaling->gemv = {9, 7, 8};
+        distinct.scaling->gemvT = {6, 10, 5};
+        distinct.scaling->saxpby = {8, 5, 11};
+        for (auto [nx, nu] : {std::pair{12, 4}, std::pair{7, 3}}) {
+            expectFastPathMatchesEmitting(
+                randomShapeWs(nx, nu, ++seed),
+                tag + std::to_string(nx) + "x" + std::to_string(nu) +
+                    " distinct specs",
+                false, distinct);
+        }
     }
+
+    // An i16 state far outside the calibrated range: the quantizer
+    // clamps it to the grid ends, whose products overflow the int32
+    // accumulator of the gain rows.
+    matlib::fx::Scaling fine;
+    fine.gemv = {14, 14, 14};
+    fine.gemvT = {14, 14, 14};
+    fine.saxpby = {14, 14, 14};
+    Workspace big = randomShapeWs(12, 4, 77);
+    const DatapathSetup sat{NumericFormat::I16, fine, 50.0};
+    expectFastPathMatchesEmitting(big, "i16 accumulator saturation",
+                                  false, sat);
+    matlib::ScalarBackend probe(matlib::ScalarFlavor::Optimized);
+    probe.setFormat(NumericFormat::I16);
+    probe.setFixedScaling(fine);
+    Solver solver(big, probe, MappingStyle::Library);
+    std::vector<float> x0(12, 50.0f);
+    big.setInitialState(x0.data());
+    solver.solve();
+    EXPECT_GT(probe.fxCounters().accSats, 0u);
 }
 
 TEST(Workspace, AllocateValidatesDims)
